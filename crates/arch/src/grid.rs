@@ -122,6 +122,14 @@ impl Grid {
         c.row >= 0 && c.col >= 0 && (c.row as u32) < self.rows && (c.col as u32) < self.cols
     }
 
+    /// The row-major index of `c` (`row * cols + col`), or `None` when `c`
+    /// lies off the grid — the slot dense per-cell state keeps for `c`.
+    #[inline]
+    pub fn cell_index(&self, c: Coord) -> Option<usize> {
+        self.in_bounds(c)
+            .then(|| c.row as usize * self.cols as usize + c.col as usize)
+    }
+
     fn index(&self, c: Coord) -> usize {
         debug_assert!(self.in_bounds(c), "coordinate {c} out of bounds");
         c.row as usize * self.cols as usize + c.col as usize

@@ -1,15 +1,12 @@
 //! Synthetic *workload* circuits — not part of the paper's Table I suite.
 //!
 //! These exist to exercise compiler machinery whose behaviour the
-//! evaluation circuits cannot isolate. [`magic_rounds`] is the
-//! repeat-heavy routing workload behind the path-table hit-ratio
-//! measurement in `bench_session`: a large block of stationary T-state
+//! evaluation circuits cannot isolate. [`magic_rounds`] is a
+//! delivery-heavy routing workload: a large block of stationary T-state
 //! consumers whose delivery corridors repeat identically round after
-//! round, plus a small knot of CNOT churn far away that keeps claiming
-//! and releasing cells. A path table invalidated by *any* occupancy
-//! change re-derives every delivery every round (hit ratio ≈ 0); a table
-//! that validates per-corridor spatial footprints serves every repeat
-//! round from cache.
+//! round, plus a small knot of CNOT churn far away that keeps moving
+//! qubits. [`cnot_bricks`] is a CNOT-wide workload whose ready front
+//! stays half the register wide.
 
 use ftqc_circuit::Circuit;
 
@@ -51,10 +48,9 @@ pub fn magic_rounds(n: u32, rounds: u32) -> Circuit {
 /// The CNOT-wide parallel-routing workload: `layers` brick-pattern layers
 /// of nearest-neighbour CNOTs over `n` qubits. Within a layer every CNOT
 /// is qubit-disjoint from every other (even pairs on even layers, odd
-/// pairs on odd layers), so the engine's ready front stays `n / 2` wide —
-/// the shape speculative parallel routing needs. On a large register the
-/// per-CNOT route searches are expensive and the corridors spatially
-/// spread, which is exactly when speculation pays.
+/// pairs on odd layers), so the engine's ready front stays `n / 2` wide.
+/// On a large register the per-CNOT route searches are long and the
+/// corridors spatially spread.
 ///
 /// # Panics
 ///

@@ -12,9 +12,8 @@
 //!    computation exact rather than an estimate from the edit span);
 //! 2. **map** resumes the routing engine from the deepest checkpoint that
 //!    is *causally sound* for the edited gate sequence (the causal
-//!    bound), re-routing only the suffix, through the
-//!    persistent warm [`RouterParts`] so corridors whose path-table
-//!    entries still match their occupancy digests are never re-searched;
+//!    bound), re-routing only the suffix, through the persistent warm
+//!    [`RouterParts`] so the search buffers are never re-allocated;
 //! 3. **schedule** re-runs redundant-move elimination in full (its
 //!    fixed-point cancellation is not prefix-stable near an edit
 //!    boundary), splices the unchanged schedule prefix, and resumes the
@@ -295,6 +294,7 @@ impl DifferentialCompiler {
             &st.real_snaps,
             Some(st.program.schedule().items()),
             Timer::new(
+                st.layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -309,6 +309,7 @@ impl DifferentialCompiler {
             &st.unit_snaps,
             None,
             Timer::new(
+                st.layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -343,7 +344,8 @@ impl DifferentialCompiler {
         };
         let program = CompiledProgram::assemble(
             st.layout.clone(),
-            real.schedule,
+            real.schedule
+                .expect("the realistic replay keeps its schedule"),
             metrics,
             lowered.clone(),
             mapping.clone(),
@@ -428,8 +430,9 @@ impl DifferentialCompiler {
             &elim_ops,
             0,
             &[],
-            None,
+            Some(&[]),
             Timer::new(
+                layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -444,6 +447,7 @@ impl DifferentialCompiler {
             &[],
             None,
             Timer::new(
+                layout.grid(),
                 num_qubits,
                 factories,
                 &timing,
@@ -478,7 +482,8 @@ impl DifferentialCompiler {
         };
         let program = CompiledProgram::assemble(
             layout.clone(),
-            real.schedule,
+            real.schedule
+                .expect("the realistic replay keeps its schedule"),
             metrics,
             lowered.clone(),
             mapping.clone(),
@@ -560,7 +565,8 @@ fn common_prefix(a: &[RoutedOp], b: &[RoutedOp]) -> usize {
 }
 
 struct ReplayOut {
-    schedule: Schedule<RoutedOp>,
+    /// The timed schedule; `None` for a makespan-only replay.
+    schedule: Option<Schedule<RoutedOp>>,
     makespan: Ticks,
     snaps: Vec<TimerSnap>,
     retimed: usize,
@@ -568,9 +574,10 @@ struct ReplayOut {
 
 /// Times `ops`, resuming from the deepest snapshot in `old_snaps` whose
 /// index is at most `common` (ops before `common` are unchanged from the
-/// replay that produced `old_snaps`). When `prefix_items` is given, the
-/// unchanged schedule prefix is spliced from it instead of re-timed; the
-/// unit-cost replay passes `None` and only the makespan is meaningful.
+/// replay that produced `old_snaps`). A schedule is built only when
+/// `prefix_items` is given (the realistic replay): its unchanged prefix is
+/// spliced from those items instead of re-timed. The unit-cost replay
+/// passes `None` and gets only the makespan.
 /// Fresh snapshots are recorded every `every` ops past the kept ones.
 fn resume_replay(
     ops: &[RoutedOp],
@@ -590,13 +597,14 @@ fn resume_replay(
         .cloned()
         .collect();
     let mut last_snap = snaps.last().map_or(0, |s| s.idx);
-    let mut schedule = Schedule::new();
-    if let Some(items) = prefix_items {
+    let mut schedule = prefix_items.map(|items| {
+        let mut schedule = Schedule::with_capacity(ops.len());
         for item in &items[..start] {
             schedule.push(item.op.clone(), item.start, item.duration);
         }
         debug_assert_eq!(schedule.makespan(), makespan);
-    }
+        schedule
+    });
     for (i, op) in ops.iter().enumerate().skip(start) {
         if i > last_snap && i % every == 0 {
             snaps.push(TimerSnap {
@@ -608,7 +616,9 @@ fn resume_replay(
         }
         let (s, d) = timer.push(op);
         makespan = makespan.max(s + d);
-        schedule.push(op.clone(), s, d);
+        if let Some(schedule) = schedule.as_mut() {
+            schedule.push(op.clone(), s, d);
+        }
     }
     ReplayOut {
         schedule,

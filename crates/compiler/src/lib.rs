@@ -71,9 +71,7 @@ pub use codec::{
 pub use differential::{
     CompileDelta, DeltaKind, DifferentialCompiler, DEFAULT_CHECKPOINT_EVERY, DEFAULT_TIMER_EVERY,
 };
-pub use engine::{
-    route_circuit, route_circuit_with_workers, route_workers, EngineCheckpoint, RoutedProgram,
-};
+pub use engine::{route_circuit, EngineCheckpoint, RoutedProgram};
 pub use error::CompileError;
 pub use estimate::{
     estimate_resources, EstimateError, EstimateRequest, Objective, ResourceEstimate,
@@ -96,7 +94,7 @@ pub use session::{
     StageEvent, StageRun, StageTrace, TraceHook, DEFAULT_STAGE_CACHE_CAPACITY,
 };
 pub use targets::{apply_job_target, resolve_target_ref};
-pub use timer::{time_ops, CostKind, Timer};
+pub use timer::{replay_makespan, time_ops, CostKind, Timer};
 pub use trace::{activity_strip, kind_breakdown, Activity, KindBreakdown};
 pub use verify::{verify, VerifyError};
 pub use witness::{extract_witness, verify_witness, Witness, WitnessError, WITNESS_VERSION};

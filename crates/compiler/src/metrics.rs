@@ -35,10 +35,9 @@ pub struct Metrics {
     /// Magic states consumed.
     pub n_magic_states: u64,
     /// Incremental-router activity for the routing run that produced this
-    /// program: arena reuses, path-table hits/misses, and incremental
-    /// invalidations. Deterministic per compile (the router's path table
-    /// is per-engine), so cached and fresh compiles report identical
-    /// values.
+    /// program: search-arena reuses (the `table_*` fields are retired and
+    /// always 0). Deterministic per compile, so cached and fresh compiles
+    /// report identical values.
     pub route: RouteCounters,
 }
 
@@ -140,15 +139,7 @@ impl fmt::Display for Metrics {
             self.spacetime_volume_per_op(true),
             self.cpi()
         )?;
-        write!(
-            f,
-            "router: {} arena reuses, path table {}/{} hits ({} claim-invalidated, {} flushes)",
-            self.route.arena_reuses,
-            self.route.table_hits,
-            self.route.table_hits + self.route.table_misses,
-            self.route.table_invalidated_by_claim,
-            self.route.table_flushes
-        )
+        write!(f, "router: {} arena reuses", self.route.arena_reuses)
     }
 }
 
@@ -232,6 +223,6 @@ mod tests {
         assert!(s.contains("qubits: 155"));
         assert!(s.contains("overhead 1.20x"));
         assert!(s.contains("CPI 2.00"));
-        assert!(s.contains("router: 30 arena reuses, path table 5/40 hits"));
+        assert!(s.contains("router: 30 arena reuses"));
     }
 }

@@ -8,9 +8,13 @@
 //! production keeps its real latency in both — the unit-cost metric
 //! isolates operation-latency effects while the distillation bottleneck
 //! stays, which is exactly what makes it comparable to the lower bound.
+//!
+//! Only the realistic replay's schedule is kept, so it takes the ops by
+//! value ([`time_ops`]); the unit-cost replay needs nothing but its
+//! makespan ([`replay_makespan`]) and records no schedule at all.
 
 use crate::routed::RoutedOp;
-use ftqc_arch::{Ticks, TimingModel};
+use ftqc_arch::{Grid, Ticks, TimingModel};
 use ftqc_sim::{ResourceTimeline, Schedule};
 use serde::{Deserialize, Serialize};
 
@@ -41,9 +45,11 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// A fresh replay state: every cell free, every qubit ready at 0, the
-    /// first state of every factory completing at `magic_production`.
+    /// A fresh replay state over `grid`: every cell free, every qubit ready
+    /// at 0, the first state of every factory completing at
+    /// `magic_production`.
     pub fn new(
+        grid: &Grid,
         num_qubits: u32,
         num_factories: usize,
         timing: &TimingModel,
@@ -54,7 +60,7 @@ impl Timer {
             timing: *timing,
             cost,
             unbounded_magic,
-            timeline: ResourceTimeline::new(),
+            timeline: ResourceTimeline::new(grid),
             qubit_ready: vec![Ticks::ZERO; num_qubits as usize],
             factory_ready: vec![timing.magic_production; num_factories.max(1)],
         }
@@ -62,16 +68,20 @@ impl Timer {
 
     /// Times the next op, advancing the replay state; returns its assigned
     /// `(start, duration)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op touches a cell off the grid or names a patch
+    /// `≥ num_qubits`; untrusted op sequences are bounds-checked first.
     pub fn push(&mut self, routed: &RoutedOp) -> (Ticks, Ticks) {
-        let cells = routed.op.cells();
-        let dep_ready = routed
+        let mut start = routed
             .patches
             .iter()
             .map(|&q| self.qubit_ready[q as usize])
             .fold(Ticks::ZERO, Ticks::max);
-        let mut start = self
-            .timeline
-            .earliest_start(cells.iter().copied(), dep_ready);
+        routed
+            .op
+            .for_each_cell(|c| start = start.max(self.timeline.busy_until(c)));
 
         // Any op carrying a factory grant (normally the delivery; the
         // consumption directly when the port is adjacent to the consumer)
@@ -89,10 +99,12 @@ impl Timer {
             CostKind::Realistic => routed.op.duration(&self.timing),
             CostKind::UnitCost => routed.op.unit_duration(&self.timing),
         };
-        self.timeline
-            .reserve(cells.iter().copied(), start, duration);
+        let end = start + duration;
+        routed
+            .op
+            .for_each_cell(|c| self.timeline.reserve_until(c, end));
         for &q in &routed.patches {
-            self.qubit_ready[q as usize] = start + duration;
+            self.qubit_ready[q as usize] = end;
         }
         (start, duration)
     }
@@ -110,26 +122,65 @@ impl Timer {
 ///
 /// Returns the timed schedule; its makespan is the execution time.
 pub fn time_ops(
-    ops: &[RoutedOp],
+    ops: Vec<RoutedOp>,
+    grid: &Grid,
     num_qubits: u32,
     num_factories: usize,
     timing: &TimingModel,
     cost: CostKind,
     unbounded_magic: bool,
 ) -> Schedule<RoutedOp> {
-    let mut timer = Timer::new(num_qubits, num_factories, timing, cost, unbounded_magic);
-    let mut schedule = Schedule::new();
+    let mut timer = Timer::new(
+        grid,
+        num_qubits,
+        num_factories,
+        timing,
+        cost,
+        unbounded_magic,
+    );
+    let mut schedule = Schedule::with_capacity(ops.len());
     for routed in ops {
-        let (start, duration) = timer.push(routed);
-        schedule.push(routed.clone(), start, duration);
+        let (start, duration) = timer.push(&routed);
+        schedule.push(routed, start, duration);
     }
     schedule
+}
+
+/// The makespan [`time_ops`] would report for `ops`, without building the
+/// schedule.
+pub fn replay_makespan(
+    ops: &[RoutedOp],
+    grid: &Grid,
+    num_qubits: u32,
+    num_factories: usize,
+    timing: &TimingModel,
+    cost: CostKind,
+    unbounded_magic: bool,
+) -> Ticks {
+    let mut timer = Timer::new(
+        grid,
+        num_qubits,
+        num_factories,
+        timing,
+        cost,
+        unbounded_magic,
+    );
+    ops.iter()
+        .map(|routed| {
+            let (start, duration) = timer.push(routed);
+            start + duration
+        })
+        .fold(Ticks::ZERO, Ticks::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqc_arch::{Coord, SurgeryOp};
+    use ftqc_arch::{CellKind, Coord, SurgeryOp};
+
+    fn grid() -> Grid {
+        Grid::filled(10, 10, CellKind::Bus)
+    }
 
     fn mv(from: (i32, i32), to: (i32, i32), q: u32) -> RoutedOp {
         RoutedOp::movement(
@@ -146,7 +197,8 @@ mod tests {
     fn disjoint_ops_run_in_parallel() {
         let ops = vec![mv((0, 0), (0, 1), 0), mv((5, 5), (5, 6), 1)];
         let s = time_ops(
-            &ops,
+            ops,
+            &grid(),
             2,
             1,
             &TimingModel::paper(),
@@ -162,7 +214,8 @@ mod tests {
     fn shared_cell_serialises() {
         let ops = vec![mv((0, 0), (0, 1), 0), mv((0, 1), (0, 2), 1)];
         let s = time_ops(
-            &ops,
+            ops,
+            &grid(),
             2,
             1,
             &TimingModel::paper(),
@@ -177,7 +230,8 @@ mod tests {
         // Same qubit moving twice through disjoint cells still serialises.
         let ops = vec![mv((0, 0), (0, 1), 0), mv((5, 5), (5, 6), 0)];
         let s = time_ops(
-            &ops,
+            ops,
+            &grid(),
             1,
             1,
             &TimingModel::paper(),
@@ -198,7 +252,8 @@ mod tests {
             gate: Some(0),
         };
         let s = time_ops(
-            std::slice::from_ref(&deliver),
+            vec![deliver.clone()],
+            &grid(),
             1,
             1,
             &TimingModel::paper(),
@@ -209,7 +264,8 @@ mod tests {
 
         // Unbounded supply starts immediately.
         let s = time_ops(
-            std::slice::from_ref(&deliver),
+            vec![deliver],
+            &grid(),
             1,
             1,
             &TimingModel::paper(),
@@ -232,7 +288,8 @@ mod tests {
         // Two factories, four deliveries on disjoint paths.
         let ops = vec![d(0, 0), d(1, 2), d(0, 4), d(1, 6)];
         let s = time_ops(
-            &ops,
+            ops,
+            &grid(),
             1,
             2,
             &TimingModel::paper(),
@@ -255,15 +312,24 @@ mod tests {
             0,
         );
         let real = time_ops(
-            std::slice::from_ref(&h),
+            vec![h.clone()],
+            &grid(),
             1,
             1,
             &TimingModel::paper(),
             CostKind::Realistic,
             false,
         );
-        let unit = time_ops(&[h], 1, 1, &TimingModel::paper(), CostKind::UnitCost, false);
+        let unit = replay_makespan(
+            &[h],
+            &grid(),
+            1,
+            1,
+            &TimingModel::paper(),
+            CostKind::UnitCost,
+            false,
+        );
         assert_eq!(real.makespan(), Ticks::from_d(3.0));
-        assert_eq!(unit.makespan(), Ticks::from_d(1.0));
+        assert_eq!(unit, Ticks::from_d(1.0));
     }
 }

@@ -9,12 +9,14 @@
 //! 1. re-derive the stage keys from the circuit + options (cheap: only the
 //!    prepare/lower front end runs, cache-assisted),
 //! 2. rebuild the layout and factory bank from the target,
-//! 3. deterministically re-time the op sequence with [`time_ops`] (greedy
+//! 3. reject any op whose cells leave the grid or whose patch indices
+//!    exceed the circuit's qubits, before anything indexes replay state,
+//! 4. deterministically re-time the op sequence with [`time_ops`] (greedy
 //!    replay — the same function the schedule stage uses, so a faithful
 //!    worker's makespan is reproduced exactly),
-//! 4. run the six-invariant physical checker [`verify_items`] over the
+//! 5. run the six-invariant physical checker [`verify_items`] over the
 //!    re-timed schedule, and
-//! 5. re-derive the full [`Metrics`] document and require equality with
+//! 6. re-derive the full [`Metrics`] document and require equality with
 //!    the claimed one.
 //!
 //! Everything is O(schedule): the expensive map stage (routing) never runs
@@ -31,7 +33,7 @@ use crate::options::CompilerOptions;
 use crate::pipeline::CompiledProgram;
 use crate::routed::RoutedOp;
 use crate::session::{CompileSession, StageCache};
-use crate::timer::{time_ops, CostKind};
+use crate::timer::{replay_makespan, time_ops, CostKind};
 use crate::verify::{verify_items, VerifyError};
 use ftqc_arch::{Coord, SingleQubitKind, SurgeryOp, Ticks};
 use ftqc_circuit::Circuit;
@@ -85,6 +87,15 @@ pub enum WitnessError {
     },
     /// The target rejects the program shape or the layout cannot be built.
     Target(String),
+    /// An op names a program qubit the circuit does not have.
+    PatchOutOfRange {
+        /// Index in the op sequence.
+        index: usize,
+        /// The offending patch index.
+        patch: u32,
+        /// Qubits in the lowered circuit.
+        num_qubits: u32,
+    },
     /// The re-timed schedule violates a physical invariant.
     Invariant(VerifyError),
     /// The metrics derived from the witness disagree with the claimed
@@ -116,6 +127,14 @@ impl std::fmt::Display for WitnessError {
                 fingerprint::to_hex(*got)
             ),
             WitnessError::Target(e) => write!(f, "target rejects witness: {e}"),
+            WitnessError::PatchOutOfRange {
+                index,
+                patch,
+                num_qubits,
+            } => write!(
+                f,
+                "op {index} names patch {patch} of a {num_qubits}-qubit circuit"
+            ),
             WitnessError::Invariant(e) => write!(f, "invariant violated: {e}"),
             WitnessError::MetricsMismatch { field } => {
                 write!(f, "derived metrics disagree on {field:?}")
@@ -261,30 +280,38 @@ pub fn verify_witness(
         .map_err(|e| WitnessError::Target(e.to_string()))?;
     let bank = options.target.factory_bank(&layout);
 
-    // 3 + 4. Deterministic re-timing and the physical invariants. The
+    // 3. The trust boundary: the replay indexes per-cell and per-qubit
+    // state directly, so every cell must lie on the grid and every patch
+    // index name a circuit qubit before anything is re-timed.
+    let grid = layout.grid();
+    check_ranges(&witness.ops, num_qubits, |c| grid.in_bounds(c))?;
+
+    // 4 + 5. Deterministic re-timing and the physical invariants. The
     // same greedy replay the schedule stage runs, so a faithful worker's
     // makespans are reproduced bit-for-bit.
     let timing = options.effective_schedule_timing();
-    let schedule = time_ops(
+    let unit_makespan = replay_makespan(
         &witness.ops,
-        num_qubits,
-        options.target.factories as usize,
-        timing,
-        CostKind::Realistic,
-        options.target.unbounded_magic,
-    );
-    let unit_schedule = time_ops(
-        &witness.ops,
+        grid,
         num_qubits,
         options.target.factories as usize,
         timing,
         CostKind::UnitCost,
         options.target.unbounded_magic,
     );
-    verify_items(schedule.items(), timing, |c| layout.grid().in_bounds(c))
+    let schedule = time_ops(
+        witness.ops.clone(),
+        grid,
+        num_qubits,
+        options.target.factories as usize,
+        timing,
+        CostKind::Realistic,
+        options.target.unbounded_magic,
+    );
+    verify_items(schedule.items(), timing, |c| grid.in_bounds(c))
         .map_err(WitnessError::Invariant)?;
 
-    // 5. Metrics re-assembly — the schedule stage's recipe, with the two
+    // 6. Metrics re-assembly — the schedule stage's recipe, with the two
     // non-derivable informational counters passed through from the claim.
     let n_magic_states = witness
         .ops
@@ -293,7 +320,7 @@ pub fn verify_witness(
         .count() as u64;
     let derived = Metrics {
         execution_time: schedule.makespan(),
-        unit_cost_time: unit_schedule.makespan(),
+        unit_cost_time: unit_makespan,
         lower_bound: if options.target.unbounded_magic {
             Ticks::ZERO
         } else {
@@ -318,6 +345,37 @@ pub fn verify_witness(
         return Err(WitnessError::MetricsMismatch { field });
     }
     Ok(derived)
+}
+
+/// Rejects the first op that touches a cell off the grid or names a patch
+/// `≥ num_qubits`.
+fn check_ranges(
+    ops: &[RoutedOp],
+    num_qubits: u32,
+    in_bounds: impl Fn(Coord) -> bool,
+) -> Result<(), WitnessError> {
+    for (index, routed) in ops.iter().enumerate() {
+        let mut off_grid = None;
+        routed.op.for_each_cell(|c| {
+            if off_grid.is_none() && !in_bounds(c) {
+                off_grid = Some(c);
+            }
+        });
+        if let Some(cell) = off_grid {
+            return Err(WitnessError::Invariant(VerifyError::OffGrid {
+                index,
+                cell,
+            }));
+        }
+        if let Some(&patch) = routed.patches.iter().find(|&&q| q >= num_qubits) {
+            return Err(WitnessError::PatchOutOfRange {
+                index,
+                patch,
+                num_qubits,
+            });
+        }
+    }
+    Ok(())
 }
 
 // --- JSON codec -----------------------------------------------------------
@@ -694,6 +752,49 @@ mod tests {
             matches!(err, WitnessError::MetricsMismatch { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn out_of_range_patch_rejected_before_retiming() {
+        let (circuit, options) = testbed();
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        let i = witness
+            .ops
+            .iter()
+            .position(|o| !o.patches.is_empty())
+            .expect("some op carries a patch");
+        witness.ops[i].patches[0] = 1_000_000;
+        let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
+        assert_eq!(
+            err,
+            WitnessError::PatchOutOfRange {
+                index: i,
+                patch: 1_000_000,
+                num_qubits: 4
+            }
+        );
+    }
+
+    #[test]
+    fn off_grid_cells_rejected_before_retiming() {
+        let (circuit, options) = testbed();
+        let (witness, claimed) = compile_witnessed(&circuit, &options);
+        for cell in [
+            Coord::new(-1, 0),
+            Coord::new(0, -3),
+            Coord::new(1_000_000, 2),
+            Coord::new(i32::MAX, i32::MAX),
+        ] {
+            let mut forged = witness.clone();
+            let last = forged.ops.len() - 1;
+            forged.ops[last].op = SurgeryOp::PauliFrame { cell };
+            let err = verify_witness(&circuit, &options, &forged, &claimed, None).unwrap_err();
+            assert_eq!(
+                err,
+                WitnessError::Invariant(VerifyError::OffGrid { index: last, cell }),
+                "{cell}"
+            );
+        }
     }
 
     #[test]

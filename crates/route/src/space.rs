@@ -77,10 +77,10 @@ fn path_to_nearest_free(
     grid: &Grid,
     occ: &impl Occupancy,
     start: Coord,
-    avoid: &HashSet<Coord>,
+    avoid: &[Coord],
 ) -> Option<Vec<Coord>> {
     let mut prev: std::collections::HashMap<Coord, Coord> = std::collections::HashMap::new();
-    let mut seen: HashSet<Coord> = avoid.clone();
+    let mut seen: HashSet<Coord> = avoid.iter().copied().collect();
     seen.insert(start);
     let mut queue = VecDeque::new();
     queue.push_back(start);
@@ -120,7 +120,7 @@ pub fn clear_cell_plan(
     grid: &Grid,
     occ: &impl Occupancy,
     cell: Coord,
-    avoid: &HashSet<Coord>,
+    avoid: &[Coord],
 ) -> Option<Vec<(Coord, Coord)>> {
     if !occ.is_occupied(cell) {
         return None;
@@ -141,8 +141,7 @@ pub fn clear_cell_plan(
 /// congested that no neighbour can be cleared.
 pub fn space_search(grid: &Grid, occ: &impl Occupancy, target: Coord) -> Option<SpacePlan> {
     let mut best: Option<SpacePlan> = None;
-    let mut avoid = HashSet::new();
-    avoid.insert(target);
+    let avoid = [target];
     for n in target.neighbours() {
         if !grid.in_bounds(n) || occ.is_blocked(n) {
             continue;
@@ -297,8 +296,7 @@ mod tests {
     fn clear_cell_plan_frees_requested_cell() {
         let cell = Coord::new(2, 2);
         let occ = occ_of(&[cell]);
-        let avoid = HashSet::new();
-        let plan = clear_cell_plan(&grid5(), &occ, cell, &avoid).unwrap();
+        let plan = clear_cell_plan(&grid5(), &occ, cell, &[]).unwrap();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].0, cell);
     }
@@ -306,11 +304,7 @@ mod tests {
     #[test]
     fn clear_cell_plan_none_when_already_free() {
         let occ = occ_of(&[]);
-        let avoid = HashSet::new();
-        assert_eq!(
-            clear_cell_plan(&grid5(), &occ, Coord::new(2, 2), &avoid),
-            None
-        );
+        assert_eq!(clear_cell_plan(&grid5(), &occ, Coord::new(2, 2), &[]), None);
     }
 
     #[test]
@@ -320,8 +314,7 @@ mod tests {
         let cell = Coord::new(0, 1);
         let mut occ = occ_of(&[cell]);
         occ.blocked.insert(Coord::new(1, 1));
-        let avoid: HashSet<Coord> = [Coord::new(0, 0)].into_iter().collect();
-        let plan = clear_cell_plan(&grid5(), &occ, cell, &avoid).unwrap();
+        let plan = clear_cell_plan(&grid5(), &occ, cell, &[Coord::new(0, 0)]).unwrap();
         assert_eq!(plan[0], (cell, Coord::new(0, 2)));
     }
 

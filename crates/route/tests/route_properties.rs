@@ -122,8 +122,7 @@ proptest! {
     fn clear_plans_are_executable(cell in arb_coord(), occ in arb_occupied()) {
         let g = grid();
         let view = SetOcc(occ.clone());
-        let avoid = HashSet::new();
-        match clear_cell_plan(&g, &view, cell, &avoid) {
+        match clear_cell_plan(&g, &view, cell, &[]) {
             Some(moves) => {
                 let mut state = occ.clone();
                 for (from, to) in &moves {

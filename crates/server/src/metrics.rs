@@ -273,7 +273,7 @@ impl ServerMetrics {
     /// latency histograms per endpoint, the in-flight gauge, connection counters,
     /// job outcomes, the shared cache's live counters, the stage cache's
     /// per-stage hit/miss counters, and the incremental router's cumulative
-    /// arena/path-table counters.
+    /// counters (arena reuses; the retired `table_*` series stay at 0).
     pub fn render_prometheus(
         &self,
         cache: &CacheStats,
@@ -471,27 +471,27 @@ impl ServerMetrics {
             ),
             (
                 "ftqc_route_table_hits_total",
-                "Path queries answered from the spatially-validated path table.",
+                "Retired path-cache counter; always 0.",
                 route.table_hits,
             ),
             (
                 "ftqc_route_table_misses_total",
-                "Path queries that ran a search.",
+                "Retired path-cache counter; always 0.",
                 route.table_misses,
             ),
             (
                 "ftqc_route_table_invalidations_total",
-                "Legacy aggregate: invalidated_by_claim + flushes.",
+                "Retired path-cache counter; always 0.",
                 route.table_invalidations,
             ),
             (
                 "ftqc_route_table_invalidated_by_claim_total",
-                "Cached paths retired because a claim/release shifted a region digest in their search footprint.",
+                "Retired path-cache counter; always 0.",
                 route.table_invalidated_by_claim,
             ),
             (
                 "ftqc_route_table_flushes_total",
-                "Whole path-table flushes at the capacity bound.",
+                "Retired path-cache counter; always 0.",
                 route.table_flushes,
             ),
         ];

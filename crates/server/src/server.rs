@@ -1396,7 +1396,7 @@ fn percentiles_json(snap: &HistogramSnapshot) -> Value {
 
 /// `GET /v1/cache/stats`: the shared cache's counters, the memory tier's
 /// current entry count, the stage cache's per-stage counters, the
-/// incremental router's cumulative arena/path-table counters, and the
+/// incremental router's cumulative counters, and the
 /// request/stage/queue-wait latency percentiles.
 fn handle_cache_stats(state: &AppState) -> HandlerResult {
     let mut doc = match state.cache.stats().to_json() {

@@ -14,8 +14,7 @@ use ftqc_benchmarks::suite::Benchmark;
 use ftqc_circuit::{parse_qasm, Circuit};
 
 /// Synthetic workload circuits resolvable by name (outside the Table I
-/// suite): the repeat-heavy path-table workload and the CNOT-wide
-/// parallel-routing workload.
+/// suite): the delivery-heavy and the CNOT-wide routing workloads.
 fn is_workload(name: &str) -> bool {
     matches!(name, "magic-rounds" | "cnot-bricks")
 }

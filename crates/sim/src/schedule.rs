@@ -55,6 +55,14 @@ impl<T> Schedule<T> {
         Self::default()
     }
 
+    /// An empty schedule with room for `n` operations.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            items: Vec::with_capacity(n),
+            makespan: Ticks::ZERO,
+        }
+    }
+
     /// Appends an operation.
     pub fn push(&mut self, op: T, start: Ticks, duration: Ticks) {
         self.makespan = self.makespan.max(start + duration);

@@ -420,9 +420,8 @@ fn router_counters_over_loopback() {
     });
     let client = Client::new(addr.clone());
 
-    // Four T gates on one stationary qubit: the delivery corridor query
-    // repeats under an unchanged occupancy digest, so the router's path
-    // table must hit on every repeat within a compile.
+    // Four T gates on one stationary qubit: four delivery searches per
+    // compile, every one after the first reusing the router's arena.
     let qasm =
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nt q[2];\nt q[2];\nt q[2];\nt q[2];\n";
     let source = CircuitSource::QasmInline { qasm: qasm.into() };
@@ -453,8 +452,11 @@ fn router_counters_over_loopback() {
     assert!(second.is_ok());
     let m1 = first.metrics.as_ref().expect("metrics").route;
     let m2 = second.metrics.as_ref().expect("metrics").route;
-    assert!(m1.table_hits >= 3, "repeat deliveries hit in-job: {m1:?}");
-    assert!(m2.table_hits >= 3, "got {m2:?}");
+    assert!(
+        m1.arena_reuses >= 3,
+        "repeat deliveries reuse in-job: {m1:?}"
+    );
+    assert!(m2.arena_reuses >= 3, "got {m2:?}");
 
     // /v1/cache/stats exposes exactly the mix's cumulative counters.
     let after_two = served_router();
@@ -475,14 +477,14 @@ fn router_counters_over_loopback() {
     );
     assert_eq!(served_router(), m1.merged(m2));
 
-    // …while a third routed compile grows them, with fresh table hits.
+    // …while a third routed compile grows them, with fresh arena reuses.
     let third = client.compile(&job("r5", 5)).expect("third compile");
     assert!(third.is_ok());
     let m3 = third.metrics.as_ref().expect("metrics").route;
-    assert!(m3.table_hits >= 3, "got {m3:?}");
+    assert!(m3.arena_reuses >= 3, "got {m3:?}");
     let after_three = served_router();
     assert_eq!(after_three, m1.merged(m2).merged(m3));
-    assert!(after_three.table_hits > after_two.table_hits);
+    assert!(after_three.arena_reuses > after_two.arena_reuses);
 
     // /metrics renders the same cumulative counters as Prometheus text.
     let metrics_text = client.metrics_text().expect("metrics");

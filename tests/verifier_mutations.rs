@@ -243,9 +243,9 @@ fn deliveries(p: &CompiledProgram) -> Vec<usize> {
 
 #[test]
 fn stale_path_table_entry_is_caught() {
-    // Simulates the incremental router serving a *stale* PathTable entry:
-    // a cached corridor computed for a different query is spliced into a
-    // delivery, so it no longer ends at the cell the consumption reads.
+    // Simulates a router serving a *stale* corridor: a path computed for a
+    // different query is spliced into a delivery, so it no longer ends at
+    // the cell the consumption reads.
     let p = magic_testbed();
     let ds = deliveries(&p);
     assert!(ds.len() >= 2, "testbed has two deliveries");
