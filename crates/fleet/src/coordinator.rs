@@ -9,8 +9,16 @@
 //! the six structural invariants, and re-deriving the metrics member by
 //! member. A result that fails any of it is discarded, the worker is
 //! quarantined for the rest of the batch, and the job is recomputed
-//! locally — so the output of a fleet run is byte-identical to a local
-//! run even when a worker is actively malicious.
+//! locally. A worker whose forgery stays internally consistent (ops that
+//! re-time to the metrics it claims but skip one of the circuit's gates)
+//! still passes these checks: nothing yet ties the op sequence back to
+//! the circuit's gates.
+//!
+//! Repeats never leave the coordinator: a job whose fingerprint is in the
+//! server's whole-job cache is answered from it, exactly as a plain server
+//! answers it. That cache only ever holds what this process would serve
+//! anyway — metrics whose witness verification accepted, or its own local
+//! compiles.
 //!
 //! Failure handling is deadline-based: each dispatch uses a bounded
 //! socket timeout plus the [`RetryPolicy`] backoff; when a worker still
@@ -19,16 +27,17 @@
 //! left is recomputed locally. Jobs always come back in submission order.
 
 use crate::metrics::FleetMetrics;
+use ftqc_circuit::Circuit;
 use ftqc_compiler::{verify_witness, CompilerOptions, Metrics, StageCache, Witness, WitnessError};
 use ftqc_server::{Client, RetryPolicy, ServerContext, ServerExtension};
 use ftqc_service::json::{FromJson, ToJson, Value};
 use ftqc_service::resolve::resolve_source_remote;
-use ftqc_service::{fingerprint, CompileJob, JobResult};
+use ftqc_service::{CompileJob, JobResult, JobStatus};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Knobs for a [`CoordinatorExtension`].
 #[derive(Debug, Clone)]
@@ -85,6 +94,18 @@ enum Verdict {
     Recompute,
     /// The *worker* is at fault — recompute locally AND quarantine it.
     Quarantine(String),
+}
+
+/// Jobs or results tagged with their submission index.
+type Slots<T> = Vec<(usize, T)>;
+
+/// A job waiting for a worker, with the coordinator's own resolution of
+/// its circuit and whole-job fingerprint (`None` when the coordinator
+/// cannot resolve it; the local recompute then reports why).
+struct Pending {
+    index: usize,
+    job: CompileJob<CompilerOptions>,
+    resolved: Option<(Circuit, u64)>,
 }
 
 /// The coordinator role.
@@ -146,7 +167,8 @@ impl CoordinatorExtension {
         self.workers.iter().map(|w| w.addr.clone()).collect()
     }
 
-    /// Re-verifies one worker response for `job`.
+    /// Re-verifies one worker response for `job`, against `resolved`, the
+    /// coordinator's own circuit and fingerprint for it.
     ///
     /// The only thing trusted from the wire is the witness itself — and
     /// only after [`verify_witness`] re-times it, re-checks the invariants
@@ -157,6 +179,7 @@ impl CoordinatorExtension {
     fn verify(
         &self,
         job: &CompileJob<CompilerOptions>,
+        resolved: Option<&(Circuit, u64)>,
         response: &Value,
         stages: &StageCache,
     ) -> Verdict {
@@ -179,20 +202,15 @@ impl CoordinatorExtension {
         let Ok(witness) = Witness::from_json(witness_doc) else {
             return Verdict::Quarantine("malformed witness".into());
         };
-        let circuit = match resolve_source_remote(&job.source) {
-            Ok(c) => c,
-            // The coordinator itself cannot resolve the job; that is the
-            // job's problem, and the local recompute will report it.
-            Err(_) => return Verdict::Recompute,
+        // The coordinator itself cannot resolve the job; that is the job's
+        // problem, and the local recompute will report it.
+        let Some((circuit, expected_fp)) = resolved else {
+            return Verdict::Recompute;
         };
-        let expected_fp = fingerprint::combine(
-            fingerprint::fingerprint_circuit(&circuit),
-            fingerprint::fingerprint_value(&job.options.to_json()),
-        );
-        if result.fingerprint != expected_fp {
+        if result.fingerprint != *expected_fp {
             return Verdict::Quarantine("fingerprint mismatch".into());
         }
-        match verify_witness(&circuit, &job.options, &witness, metrics, Some(stages)) {
+        match verify_witness(circuit, &job.options, &witness, metrics, Some(stages)) {
             Ok(_) => Verdict::Accept(Box::new(result.without_witness())),
             // Compile errors mean the coordinator cannot even reproduce
             // the stage chain — a job/environment problem, not proof of a
@@ -201,55 +219,46 @@ impl CoordinatorExtension {
             Err(e) => Verdict::Quarantine(e.to_string()),
         }
     }
-}
 
-impl ServerExtension for CoordinatorExtension {
-    /// Dispatches `jobs` across the fleet and merges results back into
-    /// submission order. Staged jobs (`stop_after`/`resume_from`) are not
-    /// dispatchable and run locally, as does anything left over when no
-    /// usable worker remains.
-    fn run_jobs(
+    /// Drains `pending` across every usable worker, `cap` dispatch threads
+    /// each. Returns the accepted results (also inserted into the
+    /// whole-job cache) and the jobs left for a local recompute: those the
+    /// workers could not or should not answer, and whatever is still
+    /// queued once no usable worker remains.
+    fn dispatch_all(
         &self,
         ctx: &ServerContext<'_>,
-        jobs: Vec<CompileJob<CompilerOptions>>,
-    ) -> Vec<JobResult<Metrics>> {
-        let total = jobs.len();
-        let mut local: Vec<(usize, CompileJob<CompilerOptions>)> = Vec::new();
-        let queue: Mutex<VecDeque<(usize, CompileJob<CompilerOptions>)>> =
-            Mutex::new(VecDeque::new());
-        for (index, job) in jobs.into_iter().enumerate() {
-            if job.stop_after.is_some() || job.resume_from.is_some() {
-                local.push((index, job));
-            } else {
-                queue.lock().expect("poisoned").push_back((index, job));
-            }
-        }
-
-        let local = Mutex::new(local);
-        let done: Mutex<Vec<(usize, JobResult<Metrics>)>> = Mutex::new(Vec::with_capacity(total));
-        let stages = ctx.stages().clone();
-        let trace = Arc::clone(ctx.trace());
-
+        pending: VecDeque<Pending>,
+    ) -> (
+        Slots<JobResult<Metrics>>,
+        Slots<CompileJob<CompilerOptions>>,
+    ) {
+        let cache = ctx.cache();
+        let stages = ctx.stages();
+        let trace = ctx.trace();
+        let queue = Mutex::new(pending);
+        let local: Mutex<Slots<CompileJob<CompilerOptions>>> = Mutex::new(Vec::new());
+        let done: Mutex<Slots<JobResult<Metrics>>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for worker in self.workers.iter().filter(|w| w.usable()) {
                 for _ in 0..self.cap {
-                    let queue = &queue;
-                    let done = &done;
-                    let local = &local;
-                    let stages = &stages;
-                    let trace = &trace;
+                    let (queue, local, done) = (&queue, &local, &done);
                     scope.spawn(move || loop {
                         if !worker.usable() {
                             return;
                         }
-                        let Some((index, job)) = queue.lock().expect("poisoned").pop_front() else {
+                        let Some(pending) = queue.lock().expect("poisoned").pop_front() else {
                             return;
                         };
+                        let job = &pending.job;
                         let started = trace.now_micros();
                         let answer = worker.client.post_value("/v1/work", &job.to_json());
-                        let span = |outcome: &str| {
+                        // One `fleet.dispatch` span per round trip, with a
+                        // `fleet.verify` child covering the coordinator-side
+                        // checks (witness decode, re-timing, invariants).
+                        let record = |outcome: &str, verified: Option<(u64, u64)>| {
                             let now = trace.now_micros();
-                            trace.add_span(
+                            let id = trace.add_span(
                                 "fleet.dispatch",
                                 None,
                                 started,
@@ -260,57 +269,150 @@ impl ServerExtension for CoordinatorExtension {
                                     ("outcome".into(), outcome.into()),
                                 ],
                             );
+                            if let Some((start, micros)) = verified {
+                                trace.add_span(
+                                    "fleet.verify",
+                                    Some(id),
+                                    start,
+                                    micros,
+                                    vec![("job".into(), job.id.clone())],
+                                );
+                            }
                         };
-                        match answer {
+                        let response = match answer {
+                            Ok(response) => response,
                             Err(_) => {
                                 // Dead to us: requeue the job for someone
                                 // else and stop driving this worker.
                                 worker.dead.store(true, Ordering::Relaxed);
                                 FleetMetrics::bump(&self.metrics.reassign);
-                                span("reassign");
-                                queue.lock().expect("poisoned").push_front((index, job));
+                                record("reassign", None);
+                                queue.lock().expect("poisoned").push_front(pending);
                                 return;
                             }
-                            Ok(response) => {
-                                worker.dispatched.fetch_add(1, Ordering::Relaxed);
-                                FleetMetrics::bump(&self.metrics.dispatch);
-                                match self.verify(&job, &response, stages) {
-                                    Verdict::Accept(result) => {
-                                        FleetMetrics::bump(&self.metrics.verify_ok);
-                                        span("accept");
-                                        done.lock().expect("poisoned").push((index, *result));
-                                    }
-                                    Verdict::Recompute => {
-                                        // The job, not the worker, is at
-                                        // fault: send it straight to the
-                                        // local pile (re-dispatching it
-                                        // would just fail elsewhere too)
-                                        // and keep this worker busy.
-                                        span("recompute");
-                                        local.lock().expect("poisoned").push((index, job));
-                                    }
-                                    Verdict::Quarantine(reason) => {
-                                        FleetMetrics::bump(&self.metrics.verify_fail);
-                                        FleetMetrics::bump(&self.metrics.quarantine);
-                                        worker.quarantined.store(true, Ordering::Relaxed);
-                                        span(&format!("quarantine: {reason}"));
-                                        queue.lock().expect("poisoned").push_front((index, job));
-                                        return;
-                                    }
+                        };
+                        worker.dispatched.fetch_add(1, Ordering::Relaxed);
+                        FleetMetrics::bump(&self.metrics.dispatch);
+                        let verify_start = trace.now_micros();
+                        let verdict =
+                            self.verify(job, pending.resolved.as_ref(), &response, stages);
+                        let verified = Some((
+                            verify_start,
+                            trace.now_micros().saturating_sub(verify_start),
+                        ));
+                        match verdict {
+                            Verdict::Accept(result) => {
+                                FleetMetrics::bump(&self.metrics.verify_ok);
+                                record("accept", verified);
+                                // `verify` matched the result's fingerprint
+                                // against the coordinator's own.
+                                if let Some(metrics) = result.metrics {
+                                    cache.insert(result.fingerprint, metrics);
                                 }
+                                done.lock()
+                                    .expect("poisoned")
+                                    .push((pending.index, *result));
+                            }
+                            Verdict::Recompute => {
+                                // The job, not the worker, is at fault: send
+                                // it straight to the local pile (dispatching
+                                // it again would just fail elsewhere too) and
+                                // keep this worker busy.
+                                record("recompute", verified);
+                                local
+                                    .lock()
+                                    .expect("poisoned")
+                                    .push((pending.index, pending.job));
+                            }
+                            Verdict::Quarantine(reason) => {
+                                FleetMetrics::bump(&self.metrics.verify_fail);
+                                FleetMetrics::bump(&self.metrics.quarantine);
+                                worker.quarantined.store(true, Ordering::Relaxed);
+                                record(&format!("quarantine: {reason}"), verified);
+                                queue.lock().expect("poisoned").push_front(pending);
+                                return;
                             }
                         }
                     });
                 }
             }
         });
-
-        // Everything still queued — reassignment leftovers, quarantine
-        // fallout, or jobs no worker could take — plus the staged jobs
-        // runs on this process, through the exact local compile path.
         let mut local = local.into_inner().expect("poisoned");
-        local.extend(queue.into_inner().expect("poisoned"));
-        let mut merged = done.into_inner().expect("poisoned");
+        local.extend(
+            queue
+                .into_inner()
+                .expect("poisoned")
+                .into_iter()
+                .map(|p| (p.index, p.job)),
+        );
+        (done.into_inner().expect("poisoned"), local)
+    }
+}
+
+impl ServerExtension for CoordinatorExtension {
+    /// Answers repeats from the whole-job cache, dispatches the rest
+    /// across the fleet, and merges results back into submission order.
+    /// Staged jobs (`stop_after`/`resume_from`) are not dispatchable and
+    /// run locally, as does anything left over when no usable worker
+    /// remains.
+    fn run_jobs(
+        &self,
+        ctx: &ServerContext<'_>,
+        jobs: Vec<CompileJob<CompilerOptions>>,
+    ) -> Vec<JobResult<Metrics>> {
+        let total = jobs.len();
+        let cache = ctx.cache();
+        let mut local: Slots<CompileJob<CompilerOptions>> = Vec::new();
+        let mut merged: Slots<JobResult<Metrics>> = Vec::with_capacity(total);
+        let mut queue: VecDeque<Pending> = VecDeque::new();
+        for (index, job) in jobs.into_iter().enumerate() {
+            if job.stop_after.is_some() || job.resume_from.is_some() {
+                local.push((index, job));
+                continue;
+            }
+            let start = Instant::now();
+            let resolved = resolve_source_remote(&job.source).ok().map(|circuit| {
+                let fp = job.fingerprint(&circuit);
+                (circuit, fp)
+            });
+            // The same whole-job lookup a plain server makes first, so a
+            // repeat costs no round trip and no re-verification.
+            if let Some((_, fp)) = &resolved {
+                if let Some(hit) = cache.get(*fp) {
+                    merged.push((
+                        index,
+                        JobResult {
+                            id: job.id,
+                            fingerprint: *fp,
+                            status: JobStatus::Ok,
+                            metrics: Some(hit.value),
+                            provenance: hit.tier.into(),
+                            micros: start.elapsed().as_micros() as u64,
+                            queue_micros: 0,
+                            stage: None,
+                            witness: None,
+                        },
+                    ));
+                    continue;
+                }
+            }
+            queue.push_back(Pending {
+                index,
+                job,
+                resolved,
+            });
+        }
+
+        if !queue.is_empty() {
+            let (accepted, leftover) = self.dispatch_all(ctx, queue);
+            merged.extend(accepted);
+            local.extend(leftover);
+        }
+
+        // Everything the fleet did not answer — reassignment leftovers,
+        // quarantine fallout, or jobs no worker could take — plus the
+        // staged jobs runs on this process, through the exact local
+        // compile path.
         if !local.is_empty() {
             local.sort_by_key(|(index, _)| *index);
             for _ in 0..local.len() {

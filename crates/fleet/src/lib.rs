@@ -12,13 +12,14 @@
 //!   peer-cache endpoints `GET /v1/cache/peek/<key>` and
 //!   `POST /v1/cache/offer/<key>`.
 //! * [`coordinator`] — `ftqc serve --fleet w1,w2,…`: keeps the whole
-//!   `/v1/*` surface but dispatches compile/batch jobs across the workers
-//!   over a blocking connection pool with health checks, per-worker
-//!   in-flight caps, deadline-based reassignment of straggled jobs, and
-//!   **mandatory witness re-verification** of every result — a rejected
-//!   witness quarantines the worker and recomputes the job locally, so
-//!   fleet output is byte-identical to local output even against
-//!   malicious workers.
+//!   `/v1/*` surface, answers repeats from its own whole-job cache, and
+//!   dispatches the rest across the workers (a fresh connection per job)
+//!   with health checks, per-worker in-flight caps, deadline-based
+//!   reassignment of straggled jobs, and **mandatory witness
+//!   re-verification** of every result — a rejected witness quarantines
+//!   the worker and recomputes the job locally, so fleet output matches
+//!   local output against every tampering verification detects (a
+//!   forgery that drops gates yet stays self-consistent is not yet one).
 //! * [`ring`] — consistent hashing over schedule-stage keys; every worker
 //!   agrees, with no coordination, on which peer owns a cache entry.
 //! * [`metrics`] — the `ftqc_fleet_*` counter registry both roles append

@@ -252,10 +252,7 @@ impl WorkerExtension {
                 return (200, "application/json", body);
             }
         };
-        let fp = fingerprint::combine(
-            fingerprint::fingerprint_circuit(&circuit),
-            fingerprint::fingerprint_value(&job.options.to_json()),
-        );
+        let fp = job.fingerprint(&circuit);
         let session = CompileSession::new(job.options.clone()).with_cache(ctx.stages().clone());
         let keys = match session.stage_keys(&circuit) {
             Ok(keys) => keys,

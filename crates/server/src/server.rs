@@ -196,16 +196,81 @@ impl ShutdownHandle {
     /// drain, and the cache persists. Safe to call more than once.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // Poke the listener so a blocked accept iteration notices promptly
-        // (the loop also polls, so this is a latency optimisation only).
+        // Poke the listener: the connection makes it readable, which wakes
+        // the threaded accept loop's readiness wait at once instead of at
+        // its next bounded timeout.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
 }
 
-// A SIGINT handler can only set a flag; the accept loop polls it. Installed
-// lazily by `install_sigint_handler` so embedded servers (tests, examples)
-// never touch process-global signal state.
+// A SIGINT handler can only set a flag; both transports check it each time
+// their wait wakes (a connection, EINTR, or the wait's bounded timeout).
+// Installed lazily by `install_sigint_handler` so embedded servers (tests,
+// examples) never touch process-global signal state.
 static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
+
+/// Longest the threaded accept loop waits for the listener to become
+/// readable before it re-checks the stop flags. Connections, the shutdown
+/// poke and a SIGINT delivered to the accepting thread all wake it sooner;
+/// the bound covers a SIGINT delivered to some other thread.
+const ACCEPT_WAIT: Duration = Duration::from_millis(100);
+
+/// Blocks until `listener` has a connection to accept, at most
+/// [`ACCEPT_WAIT`]: `poll(2)` on the listener fd.
+#[cfg(unix)]
+mod accept_wait {
+    use super::ACCEPT_WAIT;
+    use std::io;
+    use std::net::TcpListener;
+    use std::os::raw::c_short;
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: c_short,
+        revents: c_short,
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NfdsT = std::os::raw::c_uint;
+
+    extern "C" {
+        // Declared directly, like `signal` in `mod sigint`, to stay
+        // dependency-free.
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+    }
+
+    const POLLIN: c_short = 0x001;
+
+    pub fn wait(listener: &TcpListener) {
+        let mut entry = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `entry` is one initialised pollfd that lives across the
+        // call, nfds is 1 to match, and the fd stays open because the
+        // borrowed listener owns it.
+        let ready = unsafe { poll(&mut entry, 1, ACCEPT_WAIT.as_millis() as i32) };
+        // EINTR (SIGINT) is a wake-up like any other: poll is never
+        // restarted, and the caller re-checks its stop flags. Any other
+        // failure falls back to a short sleep so the loop cannot spin.
+        if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+}
+
+/// The fallback where no `poll(2)` is declared: a short fixed sleep.
+#[cfg(not(unix))]
+mod accept_wait {
+    pub fn wait(_listener: &std::net::TcpListener) {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
 
 #[cfg(unix)]
 mod sigint {
@@ -412,13 +477,14 @@ impl Server {
         })
     }
 
-    /// The classic transport: a bounded thread-per-connection accept loop.
+    /// The classic transport: a bounded thread-per-connection accept loop
+    /// that sleeps in a readiness wait on the listener between connections.
     fn run_threaded(self) -> Result<ServerReport, ServerError> {
         while !self.should_stop() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => self.dispatch(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                    accept_wait::wait(&self.listener);
                 }
                 Err(_) => {
                     // Transient accept failure (e.g. EMFILE); back off
@@ -461,10 +527,11 @@ impl Server {
     /// Hands an accepted stream to a connection thread, or turns it away
     /// with 503 at the connection limit.
     fn dispatch(&self, mut stream: TcpStream) {
-        // The listener is non-blocking for the shutdown poll; on BSD-family
-        // platforms accepted sockets inherit that flag (Linux clears it),
-        // which would turn every slow read into a spurious WouldBlock and
-        // defeat set_read_timeout. Make the stream explicitly blocking.
+        // The listener is non-blocking so the accept loop can re-check its
+        // stop flags after each readiness wait; on BSD-family platforms
+        // accepted sockets inherit that flag (Linux clears it), which would
+        // turn every slow read into a spurious WouldBlock and defeat
+        // set_read_timeout. Make the stream explicitly blocking.
         let _ = stream.set_nonblocking(false);
         if self.active.load(Ordering::SeqCst) >= self.max_connections {
             self.state.metrics.connection_rejected();
@@ -614,30 +681,35 @@ fn serve_parsed(
         route_request(state, request, &trace, &trace_hex, respond)
     }));
     drop(in_flight);
-    let status = match outcome.unwrap_or_else(|_| {
+    let (status, response) = match outcome.unwrap_or_else(|_| {
         Served::Full((
             500,
             "application/json",
             error_body("internal error: handler panicked"),
         ))
     }) {
-        Served::Streamed { status } => status,
-        Served::Full((status, content_type, body)) => {
-            respond(&http::render_response_with(
+        Served::Streamed { status } => (status, None),
+        Served::Full((status, content_type, body)) => (
+            status,
+            Some(http::render_response_with(
                 status,
                 content_type,
                 &[("x-ftqc-trace", &trace_hex)],
                 body.as_bytes(),
-            ));
-            status
-        }
+            )),
+        ),
     };
+    // Account and record before the response completes, so a client that
+    // holds a whole response always finds its request in /metrics and
+    // /v1/trace/<id>. A full response completes with the write below; a
+    // streamed one at connection close, after this function returns.
     state.metrics.record(endpoint, status, started.elapsed());
-    // Record after the bytes are on the wire so the recorder never delays
-    // the response; the root duration therefore includes the write.
     state
         .recorder
         .record(trace.finish(status, endpoint.label()));
+    if let Some(bytes) = response {
+        respond(&bytes);
+    }
     status
 }
 

@@ -7,8 +7,7 @@
 //! The service is generic over the option type `O` and metrics type `M`;
 //! the compiler and CLI instantiate it with `CompilerOptions` / `Metrics`.
 
-use crate::cache::{CacheStats, CacheTier, CompileCache, SharedCache};
-use crate::fingerprint;
+use crate::cache::{CacheStats, CompileCache, SharedCache};
 use crate::job::{CacheProvenance, CompileJob, JobResult, JobStatus, StageOutcome};
 use crate::json::{FromJson, JsonError, ToJson};
 use crate::pool::WorkerPool;
@@ -164,18 +163,11 @@ impl<M: Clone + Send + FromJson> BatchService<M> {
                     )
                 }
             };
-            let fp = fingerprint::combine(
-                fingerprint::fingerprint_circuit(&circuit),
-                fingerprint::fingerprint_value(&job.options.to_json()),
-            );
+            let fp = job.fingerprint(&circuit);
             let full = job.stop_after.is_none();
             if full {
                 if let Some(hit) = cache.get(fp) {
-                    let provenance = match hit.tier {
-                        CacheTier::Memory => CacheProvenance::MemoryHit,
-                        CacheTier::File => CacheProvenance::FileHit,
-                    };
-                    return done(JobStatus::Ok, fp, Some(hit.value), provenance, None);
+                    return done(JobStatus::Ok, fp, Some(hit.value), hit.tier.into(), None);
                 }
             }
             match compile(&circuit, &job) {

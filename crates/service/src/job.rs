@@ -7,7 +7,10 @@
 //! cache; the concrete instantiation with `CompilerOptions` / `Metrics`
 //! lives in `ftqc-compiler` and the CLI.
 
+use crate::cache::CacheTier;
+use crate::fingerprint;
 use crate::json::{self, FromJson, JsonError, ToJson, Value};
+use ftqc_circuit::Circuit;
 
 /// Where a job's circuit comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,6 +190,19 @@ impl<O> CompileJob<O> {
     }
 }
 
+impl<O: ToJson> CompileJob<O> {
+    /// The whole-job cache key for this job over its resolved `circuit`:
+    /// the circuit fingerprint combined with the canonical options'. The
+    /// batch service, the fleet coordinator and fleet workers all key
+    /// whole-job results by it.
+    pub fn fingerprint(&self, circuit: &Circuit) -> u64 {
+        fingerprint::combine(
+            fingerprint::fingerprint_circuit(circuit),
+            fingerprint::fingerprint_value(&self.options.to_json()),
+        )
+    }
+}
+
 impl<O: ToJson> ToJson for CompileJob<O> {
     fn to_json(&self) -> Value {
         let mut fields = vec![("id".to_string(), Value::Str(self.id.clone()))];
@@ -244,6 +260,16 @@ impl CacheProvenance {
             "memory" => Some(CacheProvenance::MemoryHit),
             "file" => Some(CacheProvenance::FileHit),
             _ => None,
+        }
+    }
+}
+
+impl From<CacheTier> for CacheProvenance {
+    /// The provenance of a result served from the cache tier `tier`.
+    fn from(tier: CacheTier) -> Self {
+        match tier {
+            CacheTier::Memory => CacheProvenance::MemoryHit,
+            CacheTier::File => CacheProvenance::FileHit,
         }
     }
 }

@@ -223,6 +223,112 @@ fn dead_and_dying_workers_reassign_without_changing_output() {
     }
 }
 
+/// Reads an unlabelled counter (`name value`) off a Prometheus text page.
+fn counter(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in:\n{text}"))
+}
+
+#[test]
+fn coordinator_answers_repeats_from_its_verified_cache() {
+    let (w1, _x1, h1, t1) = spawn_worker();
+    let (w2, _x2, h2, t2) = spawn_worker();
+    let (coord_addr, coordinator, hc, tc) = spawn_coordinator(vec![w1, w2], RetryPolicy::default());
+    let (local_addr, hl, tl) = spawn_with("127.0.0.1:0", None);
+    let fleet = Client::new(coord_addr.clone());
+    let local = Client::new(local_addr);
+
+    // The option grid and its malformed line; every job resolves, so
+    // every ok slot is a cache candidate.
+    let jsonl = grid_jsonl()
+        .lines()
+        .filter(|line| !line.contains("no-such-circuit"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let first = fleet.batch(&jsonl).expect("first fleet pass");
+    local.batch(&jsonl).expect("first local pass");
+    let ok = first.iter().filter(|r| r.is_ok()).count() as u64;
+    assert_eq!(ok, 8);
+
+    let m = coordinator.metrics();
+    let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let (dispatch, verify_ok) = (get(&m.dispatch), get(&m.verify_ok));
+    assert_eq!(
+        (dispatch, verify_ok),
+        (ok, ok),
+        "first pass goes over the wire"
+    );
+    let hits_before = counter(
+        &fleet.metrics_text().expect("metrics"),
+        "ftqc_cache_hits_total",
+    );
+
+    // The repeat is answered from the coordinator's whole-job cache: no
+    // round trip, no re-verification, one cache hit per ok job — and the
+    // same bytes a plain server's repeat produces.
+    let second = fleet.batch(&jsonl).expect("second fleet pass");
+    let local_second = local.batch(&jsonl).expect("second local pass");
+    assert_eq!(get(&m.dispatch), dispatch, "repeats are not dispatched");
+    assert_eq!(get(&m.verify_ok), verify_ok, "repeats are not re-verified");
+    assert_eq!(get(&m.local_recompute), 0);
+    let hits_after = counter(
+        &fleet.metrics_text().expect("metrics"),
+        "ftqc_cache_hits_total",
+    );
+    assert_eq!(hits_after - hits_before, ok);
+    assert!(second
+        .iter()
+        .filter(|r| r.is_ok())
+        .all(|r| r.provenance == CacheProvenance::MemoryHit));
+    assert_eq!(
+        normalized_jsonl(&second),
+        normalized_jsonl(&local_second),
+        "a cache-served fleet repeat must match a plain server's repeat"
+    );
+
+    // Tracing: a dispatched job's `fleet.dispatch` span carries a
+    // `fleet.verify` child; a cache-served repeat records neither.
+    let job = CompileJob::new(
+        "traced",
+        CircuitSource::Benchmark {
+            name: "ising".into(),
+            size: Some(2),
+        },
+        CompilerOptions::default().routing_paths(6),
+    );
+    let (result, id) = fleet.compile_traced(&job).expect("traced compile");
+    assert!(result.is_ok(), "got {:?}", result.status);
+    let trace = fleet.trace(id.expect("trace header")).expect("trace fetch");
+    let dispatch_span = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "fleet.dispatch")
+        .expect("a dispatched job records fleet.dispatch");
+    assert_eq!(dispatch_span.attr("outcome"), Some("accept"));
+    let verify_span = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "fleet.verify")
+        .expect("verification records fleet.verify");
+    assert_eq!(verify_span.parent, Some(dispatch_span.id));
+    assert_eq!(verify_span.attr("job"), Some("traced"));
+    assert!(verify_span.duration_micros <= dispatch_span.duration_micros);
+    let (again, id) = fleet.compile_traced(&job).expect("traced repeat");
+    assert_eq!(again.provenance, CacheProvenance::MemoryHit);
+    let trace = fleet.trace(id.expect("trace header")).expect("trace fetch");
+    assert!(
+        trace.spans.iter().all(|s| !s.name.starts_with("fleet.")),
+        "a cache-served job records no dispatch: {:?}",
+        trace.spans
+    );
+
+    for (h, t) in [(h1, t1), (h2, t2), (hc, tc), (hl, tl)] {
+        h.shutdown();
+        t.join().expect("server thread");
+    }
+}
+
 // --- tampered-witness mutants --------------------------------------------
 
 /// The two-delivery testbed from `tests/verifier_mutations.rs`, as a wire
@@ -337,6 +443,63 @@ fn deliveries(witness: &Witness) -> Vec<usize> {
         .filter(|(_, op)| matches!(op.op, SurgeryOp::DeliverMagic { .. }))
         .map(|(i, _)| i)
         .collect()
+}
+
+#[test]
+fn quarantined_job_is_served_from_cache_on_repeat() {
+    // A lying worker's answer is rejected and the job recomputes locally
+    // once; the repeat is then the coordinator's own verified result,
+    // served without a dispatch.
+    let (job, mut metrics, witness) = honest_claim();
+    let expected = metrics;
+    metrics.execution_time = ftqc::arch::Ticks(1);
+    let circuit = ftqc::service::resolve::resolve_source_remote(&job.source).expect("resolves");
+    let claim = JobResult::<Metrics> {
+        id: job.id.clone(),
+        fingerprint: job.fingerprint(&circuit),
+        status: JobStatus::Ok,
+        metrics: Some(metrics),
+        provenance: CacheProvenance::Computed,
+        micros: 1,
+        queue_micros: 0,
+        stage: None,
+        witness: Some(witness.to_json()),
+    };
+    let fake = spawn_malicious_worker(claim.to_json().render());
+    let (coord_addr, coordinator, hc, tc) = spawn_coordinator(vec![fake], RetryPolicy::none());
+    let client = Client::new(coord_addr);
+    let jsonl = job.to_json().render();
+
+    let m = coordinator.metrics();
+    let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let first = client.batch(&jsonl).expect("first pass");
+    assert_eq!(get(&m.quarantine), 1);
+    assert_eq!(get(&m.local_recompute), 1);
+    assert_eq!(get(&m.dispatch), 1);
+    assert_eq!(first[0].provenance, CacheProvenance::Computed);
+
+    let second = client.batch(&jsonl).expect("second pass");
+    assert_eq!(get(&m.dispatch), 1, "the repeat is not dispatched");
+    assert_eq!(get(&m.local_recompute), 1, "the repeat does not recompute");
+    assert_eq!(
+        get(&m.verify_ok),
+        0,
+        "nothing was ever accepted from the wire"
+    );
+    assert_eq!(second[0].provenance, CacheProvenance::MemoryHit);
+    assert_eq!(
+        second[0]
+            .metrics
+            .as_ref()
+            .expect("metrics")
+            .to_json()
+            .render(),
+        expected.to_json().render(),
+        "the cached answer is the honest local one"
+    );
+
+    hc.shutdown();
+    tc.join().expect("coordinator thread");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! request mix.
 
 use ftqc::compiler::{compile_cached, explore, pareto_front, CompilerOptions, Metrics};
-use ftqc::server::{Client, Server, ServerConfig, ShutdownHandle, SweepRequest};
+use ftqc::server::{Client, Server, ServerConfig, ShutdownHandle, SweepRequest, Transport};
 use ftqc::service::json::ToJson;
 use ftqc::service::{fingerprint, CircuitSource, CompileJob, JobResult, SharedCache};
 
@@ -746,6 +746,45 @@ fn flight_recorder_keeps_slowest_over_loopback() {
 
     handle.shutdown();
     thread.join().expect("server thread");
+}
+
+#[test]
+fn threaded_accept_wakes_on_connect_and_on_shutdown() {
+    use std::time::{Duration, Instant};
+    let (addr, handle, thread) = spawn_server(ServerConfig {
+        workers: 1,
+        transport: Transport::Threaded,
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr);
+    client.healthz().expect("warm-up probe");
+
+    // Every probe opens a fresh connection, so each one crosses the accept
+    // loop. An accept loop that naps between connections shows up as a
+    // per-request floor of the nap length; one woken by readiness does not.
+    let mut samples: Vec<Duration> = (0..40)
+        .map(|_| {
+            let start = Instant::now();
+            client.healthz().expect("healthz");
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(3),
+        "fresh-connection /healthz median {median:?} (sorted samples {samples:?})"
+    );
+
+    // The shutdown poke wakes the wait: stop + drain well inside a second.
+    let start = Instant::now();
+    handle.shutdown();
+    thread.join().expect("server thread");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "shutdown + join took {:?}",
+        start.elapsed()
+    );
 }
 
 /// GETs `path` and returns the non-2xx status the server answered with.
