@@ -186,6 +186,8 @@ pub struct FrontTracker<'a> {
     dag: &'a DagCircuit,
     indeg: Vec<usize>,
     ready: Vec<NodeId>,
+    /// The gates the last [`FrontTracker::complete`] released.
+    newly: Vec<NodeId>,
     remaining: usize,
 }
 
@@ -204,6 +206,7 @@ impl<'a> FrontTracker<'a> {
             dag,
             indeg,
             ready,
+            newly: Vec::new(),
             remaining: dag.len(),
         }
     }
@@ -224,13 +227,14 @@ impl<'a> FrontTracker<'a> {
     }
 
     /// Marks `id` complete, releasing successors whose predecessors are all
-    /// complete.
+    /// complete. Returns the gates this completion made ready, ascending
+    /// by id (valid until the next call).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not currently in the ready set (completing a gate
     /// with outstanding dependencies would corrupt the schedule).
-    pub fn complete(&mut self, id: NodeId) {
+    pub fn complete(&mut self, id: NodeId) -> &[NodeId] {
         let pos = self
             .ready
             .iter()
@@ -238,17 +242,19 @@ impl<'a> FrontTracker<'a> {
             .unwrap_or_else(|| panic!("gate {id} completed while not ready"));
         self.ready.remove(pos);
         self.remaining -= 1;
-        let mut newly = Vec::new();
+        self.newly.clear();
         for &s in &self.dag.node(id).succs {
             self.indeg[s] -= 1;
             if self.indeg[s] == 0 {
-                newly.push(s);
+                self.newly.push(s);
             }
         }
-        for s in newly {
+        // Successor lists are ascending by construction, so `newly` is too.
+        for &s in &self.newly {
             let ins = self.ready.partition_point(|&r| r < s);
             self.ready.insert(ins, s);
         }
+        &self.newly
     }
 }
 
@@ -362,6 +368,44 @@ mod tests {
         let dag = chain3().dag();
         let mut t = dag.tracker();
         t.complete(2);
+    }
+
+    #[test]
+    fn complete_reports_exactly_the_newly_ready_gates() {
+        let mut seed = 0x7ac4u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for _ in 0..200 {
+            let n = 1 + (next() % 6) as u32;
+            let mut c = Circuit::new(n);
+            for _ in 0..next() % 40 {
+                let a = (next() % n as u64) as u32;
+                let b = (next() % n as u64) as u32;
+                if a == b {
+                    c.h(a);
+                } else {
+                    c.cnot(a, b);
+                }
+            }
+            let dag = c.dag();
+            let mut t = dag.tracker();
+            while !t.is_done() {
+                let before = t.ready().to_vec();
+                let pick = before[(next() % before.len() as u64) as usize];
+                let newly = t.complete(pick).to_vec();
+                let entered: Vec<NodeId> = t
+                    .ready()
+                    .iter()
+                    .copied()
+                    .filter(|id| !before.contains(id))
+                    .collect();
+                assert_eq!(newly, entered, "completing {pick}");
+            }
+        }
     }
 
     #[test]

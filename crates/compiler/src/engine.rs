@@ -1,13 +1,17 @@
 //! The greedy routing engine (paper §V).
 //!
 //! The engine consumes the circuit DAG front layer in earliest-ready order
-//! and realises each gate on the grid:
+//! (a lazy min-heap on `(ready time, gate id)` that re-checks a popped
+//! key, since ready times only grow) and realises each gate on the grid:
 //!
 //! * data-qubit relocations are planned with penalty-weighted Dijkstra and
 //!   executed one cell per move (1d each, Fig 7(d)), displacing blocking
 //!   qubits with space-search push chains when the block is packed;
 //! * CNOT configurations come from the gate-dependent move heuristic
-//!   (cheapest of the eight diagonal placements when look-ahead is on);
+//!   (cheapest of the eight diagonal placements when look-ahead is on).
+//!   When the mover's destination is already free, its relocation starts
+//!   on the route the heuristic planned, if that route avoids the cells
+//!   the relocation blocks, instead of searching for the same path again;
 //! * magic states are granted by the earliest-available factory and routed
 //!   along a bus corridor to a cell vertically adjacent to the consumer;
 //! * single-patch Cliffords borrow the nearest free neighbouring ancilla.
@@ -33,11 +37,13 @@ use crate::routed::RoutedOp;
 use ftqc_arch::{
     cnot_ancilla, CellKind, Coord, FactoryBank, Grid, Layout, SingleQubitKind, SurgeryOp, Ticks,
 };
-use ftqc_circuit::{Circuit, Gate};
-use ftqc_route::dijkstra::{CostModel, Occupancy};
+use ftqc_circuit::{Circuit, Gate, NodeId};
+use ftqc_route::dijkstra::{CostModel, Occupancy, Path};
 use ftqc_route::incremental::{RouteCounters, Router, RouterMode, RouterParts};
 use ftqc_route::moves::{best_cnot_config_with, Mover};
 use ftqc_sim::ResourceTimeline;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The occupant slot of a free cell.
 const EMPTY: u32 = u32::MAX;
@@ -242,6 +248,23 @@ impl<'a> Engine<'a> {
         let mut contiguous = resume_cut;
         let mut done = resume_cut;
         let mut last_snap = resume_cut;
+        // Earliest-ready selection: a min-heap on `(ready time, id)`. Keys
+        // only grow (`emit` moves a qubit's clock to `end >= start >=`
+        // its old value), so a stored key is a lower bound on the live
+        // one; a popped gate whose key is unchanged is the true minimum,
+        // otherwise it goes back with its fresh key.
+        let ready_at = |qubit_ready: &[Ticks], id: NodeId| {
+            dag.node(id)
+                .gate
+                .qubits()
+                .map(|q| qubit_ready[q as usize])
+                .fold(Ticks::ZERO, Ticks::max)
+        };
+        let mut heap: BinaryHeap<Reverse<(Ticks, NodeId)>> = tracker
+            .ready()
+            .iter()
+            .map(|&id| Reverse((ready_at(&self.qubit_ready, id), id)))
+            .collect();
         while !tracker.is_done() {
             if checkpoint_every > 0
                 && done == contiguous
@@ -250,22 +273,21 @@ impl<'a> Engine<'a> {
                 checkpoints.push(self.checkpoint(contiguous));
                 last_snap = contiguous;
             }
-            let &gate_id = tracker
-                .ready()
-                .iter()
-                .min_by_key(|&&id| {
-                    let ready = dag
-                        .node(id)
-                        .gate
-                        .qubits()
-                        .map(|q| self.qubit_ready[q as usize])
-                        .fold(Ticks::ZERO, Ticks::max);
-                    (ready, id)
-                })
-                .expect("tracker not done implies non-empty ready set");
+            let gate_id = loop {
+                let Reverse((key, id)) = heap
+                    .pop()
+                    .expect("tracker not done implies non-empty ready set");
+                let live = ready_at(&self.qubit_ready, id);
+                if live == key {
+                    break id;
+                }
+                heap.push(Reverse((live, id)));
+            };
             self.current_gate = gate_id;
             self.schedule_gate(&dag.node(gate_id).gate)?;
-            tracker.complete(gate_id);
+            for &id in tracker.complete(gate_id) {
+                heap.push(Reverse((ready_at(&self.qubit_ready, id), id)));
+            }
             completed[gate_id] = true;
             done += 1;
             while contiguous < total && completed[contiguous] {
@@ -408,24 +430,42 @@ impl<'a> Engine<'a> {
     /// can oscillate under displacement churn); re-planning happens only
     /// when a blocker cannot be displaced, with that cell banned. Protected
     /// cells are never entered.
-    fn relocate(&mut self, q: u32, dest: Coord) -> Result<(), CompileError> {
+    ///
+    /// `planned`, when given, is the first plan: the path the first search
+    /// would return on the current state.
+    fn relocate(
+        &mut self,
+        q: u32,
+        dest: Coord,
+        mut planned: Option<Path>,
+    ) -> Result<(), CompileError> {
         let budget = (self.grid().num_cells() as usize) * 8;
         let mut steps = 0usize;
         let mut banned: Vec<Coord> = Vec::new();
         'replan: while self.pos[q as usize] != dest {
             let from = self.pos[q as usize];
-            let path = {
-                let mut blocked = self.protected.clone();
-                blocked.extend_from_slice(&banned);
-                let grid = self.layout.grid();
-                let view = OccView {
-                    grid,
-                    occ: &self.occ,
-                    extra_blocked: &blocked,
-                };
-                self.router.find_path(grid, &view, from, dest)
-            }
-            .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?;
+            let path = match planned.take() {
+                Some(path) => {
+                    debug_assert_eq!(
+                        (path.cells.first(), path.cells.last()),
+                        (Some(&from), Some(&dest))
+                    );
+                    path
+                }
+                None => {
+                    let mut blocked = self.protected.clone();
+                    blocked.extend_from_slice(&banned);
+                    let grid = self.layout.grid();
+                    let view = OccView {
+                        grid,
+                        occ: &self.occ,
+                        extra_blocked: &blocked,
+                    };
+                    self.router
+                        .find_path(grid, &view, from, dest)
+                        .ok_or_else(|| self.fail(format!("no path from {from} to {dest}")))?
+                }
+            };
             for i in 1..path.cells.len() {
                 steps += 1;
                 if steps > budget {
@@ -653,11 +693,11 @@ impl<'a> Engine<'a> {
         }
         .filter(|cfg| self.ancilla_clearable(cfg.ancilla, cfg.control, cfg.target));
 
-        let (mover, dest) = match cfg {
+        let (mover, dest, route) = match cfg {
             Some(cfg) => match cfg.mover {
-                Mover::None => (None, None),
-                Mover::Control => (Some(control), Some(cfg.control)),
-                Mover::Target => (Some(target), Some(cfg.target)),
+                Mover::None => (None, None, None),
+                Mover::Control => (Some(control), Some(cfg.control), cfg.route),
+                Mover::Target => (Some(target), Some(cfg.target), cfg.route),
             },
             None => {
                 // Packed block (or the heuristic's pick was a boxed corner):
@@ -694,7 +734,7 @@ impl<'a> Engine<'a> {
                 }
                 let (mq, d, _) =
                     best.ok_or_else(|| self.fail("no CNOT configuration reachable"))?;
-                (Some(mq), Some(d))
+                (Some(mq), Some(d), None)
             }
         };
 
@@ -717,8 +757,16 @@ impl<'a> Engine<'a> {
                     self.no_park.push(a);
                 }
             }
+            // The heuristic searched `route` on this occupancy with no
+            // cells blocked. It is still the search's answer if clearing
+            // `d` moves nothing and it avoids the cells `relocate` blocks:
+            // blocking cells off a cheapest path leaves every path cell's
+            // distance unchanged and removes only parents not chosen.
+            let route = route.filter(|p| {
+                !self.occ_has(d) && !p.cells.iter().any(|c| self.protected.contains(c))
+            });
             self.ensure_free(d, &[])?;
-            self.relocate(mq, d)?;
+            self.relocate(mq, d, route)?;
             self.protected.push(d);
         }
 

@@ -72,7 +72,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// Cost of entering `c`.
-    fn enter_cost(&self, occupied: bool) -> u64 {
+    pub(crate) fn enter_cost(&self, occupied: bool) -> u64 {
         1 + if occupied { self.penalty_weight } else { 0 }
     }
 }

@@ -8,8 +8,10 @@
 //!
 //! * [`SearchArena`] — distance/visited/parent buffers sized to the layout
 //!   and *generation-stamped*, so resetting between searches is O(1)
-//!   instead of O(cells), plus a bucket-queue (Dial) specialisation of
-//!   Dijkstra for the small integer penalty domain.
+//!   instead of O(cells), plus a goal-directed bucket-queue (Dial) search
+//!   for the small integer penalty domain: buckets are keyed by distance
+//!   plus the Manhattan distance to the destination, and the path is
+//!   rebuilt backwards with the seed's tie-breaks.
 //! * [`Router`] — the facade the compiler engine drives. It owns the arena
 //!   and counts its own activity ([`RouteCounters`]). In
 //!   [`RouterMode::Reference`] every query is answered by the seed
@@ -33,9 +35,9 @@ use ftqc_arch::{Coord, Grid};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Largest bucket ring the Dial queue will allocate. Edge weights are
-/// `1 + penalty_weight`; beyond this bound the arena falls back to the
-/// seed binary-heap search (still byte-identical, just not bucketed).
+/// Largest bucket ring the Dial queue will allocate. The ring needs
+/// `penalty_weight + 3` buckets; beyond this bound the arena falls back to
+/// the seed binary-heap search (still byte-identical, just not bucketed).
 const MAX_BUCKET_RING: usize = 4096;
 
 /// Per-router activity counters, surfaced through compiler `Metrics`, the
@@ -85,15 +87,21 @@ impl RouteCounters {
 ///
 /// * A cell's `dist`/`prev` slots are meaningful only when its `stamp`
 ///   equals the arena's current `generation`; bumping the generation is
-///   the O(1) whole-arena reset.
+///   the O(1) whole-arena reset. [`SearchArena::find_path`] uses only
+///   `dist`; the BFS helpers record parents in `prev`.
 /// * Buffers are sized to `rows * cols` of the last grid seen; searching a
 ///   different shape reallocates (and does not count as a reuse).
-/// * The Dial bucket ring holds only distances in `[d, d + ring)` while
-///   level `d` drains — guaranteed because every edge weight is in
-///   `1..=1 + penalty_weight` and `ring = penalty_weight + 2`.
-/// * Within one distance level, cells drain in ascending row-major index
-///   order — exactly the `(d, row, col)` order of the seed binary heap,
-///   which is what keeps parent choices (and therefore paths) identical.
+/// * The path search keys its Dial buckets by `f = dist + manhattan(v,
+///   to)`. The ring holds only keys in `[f, f + ring)` while level `f`
+///   drains — guaranteed because one step changes `f` by
+///   `enter_cost - 1 ± 1`, which lies in `0..=penalty_weight + 2`, and
+///   `ring = penalty_weight + 3`.
+/// * A step toward `to` onto a free cell leaves `f` unchanged, so a level
+///   drains until its bucket stays empty, and the search ends only after
+///   level `dist(to)` has drained. By then every cell on any cheapest
+///   path holds its exact distance, which is all the back-walk that picks
+///   the seed's parents reads.
+/// * Every bucket is empty between searches.
 #[derive(Debug, Default)]
 pub struct SearchArena {
     rows: i32,
@@ -103,7 +111,6 @@ pub struct SearchArena {
     dist: Vec<u64>,
     prev: Vec<u32>,
     buckets: Vec<Vec<u32>>,
-    last_ring: usize,
     queue: VecDeque<u32>,
     reuses: u64,
 }
@@ -157,7 +164,15 @@ impl SearchArena {
         self.stamp[i] == self.generation
     }
 
-    /// Bucket-queue Dijkstra, byte-identical to [`find_path`].
+    /// Goal-directed bucket-queue search, byte-identical to [`find_path`].
+    ///
+    /// Buckets are keyed by `f = g + manhattan(v, to)`, an A* order under a
+    /// consistent bound (every step costs at least 1 and changes the
+    /// Manhattan distance by exactly 1). The search stops once level
+    /// `g(to)` is fully drained, which settles every cell on *some*
+    /// cheapest path; the path is then rebuilt backwards from `to`,
+    /// choosing parents exactly as the seed's `(dist, row, col)` pop order
+    /// does.
     pub fn find_path(
         &mut self,
         grid: &Grid,
@@ -166,8 +181,9 @@ impl SearchArena {
         to: Coord,
         cost: &CostModel,
     ) -> Option<Path> {
+        // f rises by 0..=w+2 per step, so live keys span w + 3 levels.
         let ring = match usize::try_from(cost.penalty_weight) {
-            Ok(w) if w + 2 <= MAX_BUCKET_RING => w + 2,
+            Ok(w) if w + 3 <= MAX_BUCKET_RING => w + 3,
             // Penalty weights outside the small integer domain: the bucket
             // ring would be huge, so use the seed search (same result).
             _ => return find_path(grid, occ, from, to, cost),
@@ -187,94 +203,90 @@ impl SearchArena {
         if self.buckets.len() < ring {
             self.buckets.resize_with(ring, Vec::new);
         }
-        let clear_to = self.last_ring.max(ring).min(self.buckets.len());
-        for b in &mut self.buckets[..clear_to] {
-            b.clear();
-        }
-        self.last_ring = ring;
 
         let generation = self.generation;
-        let from_i = self.index(from) as u32;
-        let to_i = self.index(to) as u32;
-        self.stamp[from_i as usize] = generation;
-        self.dist[from_i as usize] = 0;
-        self.buckets[0].push(from_i);
+        let from_i = self.index(from);
+        let to_i = self.index(to);
+        let h = |c: Coord| u64::from(c.manhattan(to));
+        self.stamp[from_i] = generation;
+        self.dist[from_i] = 0;
+        let mut level = h(from);
+        let mut slot = (level % ring as u64) as usize;
+        self.buckets[slot].push(from_i as u32);
         let mut pending = 1usize;
-        let mut d: u64 = 0;
-        let mut batch: Vec<u32> = Vec::new();
-        let mut reached = false;
 
-        'levels: while pending > 0 {
-            let slot = (d % ring as u64) as usize;
-            if !self.buckets[slot].is_empty() {
-                std::mem::swap(&mut batch, &mut self.buckets[slot]);
-                // Seed heap order for equal distances is (row, col) — i.e.
-                // ascending row-major index.
-                batch.sort_unstable();
-                for &ui in &batch {
-                    pending -= 1;
-                    if ui == to_i {
-                        reached = true;
-                        break 'levels;
+        loop {
+            // A step toward `to` onto a free cell keeps f unchanged and
+            // pushes back into this bucket: drain it until it stays empty.
+            while let Some(ui) = self.buckets[slot].pop() {
+                pending -= 1;
+                let u = self.coord(ui);
+                let g = self.dist[ui as usize];
+                // `to` is never expanded (the seed stops on popping it);
+                // an entry whose cell has since improved is stale.
+                if ui as usize == to_i || g + h(u) < level {
+                    continue;
+                }
+                for v in u.neighbours() {
+                    if !grid.in_bounds(v) || (v != to && occ.is_blocked(v)) {
+                        continue;
                     }
-                    if self.dist[ui as usize] < d {
-                        continue; // superseded by a shorter push
-                    }
-                    let u = self.coord(ui);
-                    for v in u.neighbours() {
-                        if !grid.in_bounds(v) {
-                            continue;
+                    let nd = g + cost.enter_cost(occ.is_occupied(v));
+                    let vi = self.index(v);
+                    if !self.visited(vi) || nd < self.dist[vi] {
+                        self.stamp[vi] = generation;
+                        self.dist[vi] = nd;
+                        let ahead = (nd + h(v) - level) as usize;
+                        debug_assert!(ahead < ring, "key outside the bucket ring");
+                        let mut at = slot + ahead;
+                        if at >= ring {
+                            at -= ring;
                         }
-                        if v != to && occ.is_blocked(v) {
-                            continue;
-                        }
-                        let step = 1 + if occ.is_occupied(v) {
-                            cost.penalty_weight
-                        } else {
-                            0
-                        };
-                        let nd = d + step;
-                        let vi = self.index(v);
-                        let dv = if self.visited(vi) {
-                            self.dist[vi]
-                        } else {
-                            u64::MAX
-                        };
-                        if nd < dv {
-                            self.stamp[vi] = generation;
-                            self.dist[vi] = nd;
-                            self.prev[vi] = ui;
-                            self.buckets[(nd % ring as u64) as usize].push(vi as u32);
-                            pending += 1;
-                        }
+                        self.buckets[at].push(vi as u32);
+                        pending += 1;
                     }
                 }
-                batch.clear();
             }
-            d += 1;
+            // Every cell with f <= level now holds its exact distance.
+            if self.visited(to_i) && self.dist[to_i] <= level {
+                break;
+            }
+            if pending == 0 {
+                return None; // every bucket is already empty
+            }
+            level += 1;
+            slot = if slot + 1 == ring { 0 } else { slot + 1 };
         }
-        batch.clear();
-        // Leftover entries (early exit) must not leak into the next search.
+        // Leftover entries must not leak into the next search.
         for b in &mut self.buckets[..ring] {
             b.clear();
         }
 
-        if !reached && !self.visited(to_i as usize) {
-            return None;
-        }
-        let total = self.dist[to_i as usize];
+        // The seed sets `prev[v]` on a strict improvement, in `(dist, row,
+        // col)` pop order: the parent is the smallest row-major neighbour
+        // `u` with `dist[u] + enter_cost(v) == dist[v]`. A stamped
+        // distance is an upper bound and no neighbour's true distance is
+        // below `dist[v] - enter_cost(v)`, so equality means it is exact.
         let mut cells = vec![to];
         let mut cur = to_i;
         while cur != from_i {
-            cur = self.prev[cur as usize];
-            cells.push(self.coord(cur));
+            let v = self.coord(cur as u32);
+            let want = self.dist[cur] - cost.enter_cost(occ.is_occupied(v));
+            let [up, down, left, right] = v.neighbours();
+            cur = [up, left, right, down]
+                .into_iter()
+                .filter(|&u| grid.in_bounds(u))
+                .map(|u| self.index(u))
+                .find(|&ui| ui != to_i && self.visited(ui) && self.dist[ui] == want)
+                .expect("a settled path cell has a settled cheapest parent");
+            cells.push(self.coord(cur as u32));
         }
         cells.reverse();
         let occupied = cells[1..].iter().filter(|&&c| occ.is_occupied(c)).count() as u32;
         Some(Path {
             length: (cells.len() - 1) as u32,
             occupied,
-            cost: total,
+            cost: self.dist[to_i],
             cells,
         })
     }
@@ -644,39 +656,102 @@ mod tests {
         *seed >> 33
     }
 
+    /// Row-major occupancy flags: the sweep below builds tens of
+    /// thousands of states, too many for hash sets in a debug build.
+    struct DenseOcc {
+        cols: i32,
+        blocked: Vec<bool>,
+        occupied: Vec<bool>,
+    }
+
+    impl DenseOcc {
+        fn slot(&self, c: Coord) -> usize {
+            (c.row * self.cols + c.col) as usize
+        }
+    }
+
+    impl Occupancy for DenseOcc {
+        fn is_blocked(&self, c: Coord) -> bool {
+            self.blocked[self.slot(c)]
+        }
+        fn is_occupied(&self, c: Coord) -> bool {
+            self.occupied[self.slot(c)]
+        }
+    }
+
+    /// A deterministic sweep over the goal-directed search's edge cases:
+    /// grids up to 24x24 (mostly up to 10x10), occupied densities from 0%
+    /// to 80%, penalty 0 (zero-width f levels), blocked and unreachable
+    /// destinations, `from == to`, and corner sources (the shape of a
+    /// magic delivery).
     #[test]
     fn arena_matches_seed_find_path_on_random_states() {
-        let mut seed = 0x5eed;
+        let mut seed = 0x90a1;
         let mut arena = SearchArena::new();
-        for case in 0..200 {
-            let rows = 3 + (lcg(&mut seed) % 8) as u32;
-            let cols = 3 + (lcg(&mut seed) % 8) as u32;
-            let g = grid(rows, cols);
-            let mut occupied = Vec::new();
-            let mut blocked = Vec::new();
-            for c in g.coords() {
-                match lcg(&mut seed) % 10 {
-                    0..=2 => occupied.push(c),
-                    3 => blocked.push(c),
-                    _ => {}
+        let mut reached = 0;
+        for case in 0..20_000 {
+            // Three cases in 13 on a large grid keep the debug run short;
+            // 13 is coprime to the other selectors below.
+            let side = if case % 13 < 3 { 24 } else { 10 };
+            let rows = 1 + (lcg(&mut seed) % side) as i32;
+            let cols = 1 + (lcg(&mut seed) % side) as i32;
+            let g = grid(rows as u32, cols as u32);
+            let occupied_pct = lcg(&mut seed) % 81;
+            let blocked_pct = lcg(&mut seed) % 16;
+            let cells = (rows * cols) as usize;
+            let mut occ = DenseOcc {
+                cols,
+                blocked: vec![false; cells],
+                occupied: vec![false; cells],
+            };
+            for i in 0..cells {
+                let roll = lcg(&mut seed) % 100;
+                if roll < occupied_pct {
+                    occ.occupied[i] = true;
+                } else if roll < occupied_pct + blocked_pct {
+                    occ.blocked[i] = true;
                 }
             }
-            let occ = occ_of(&occupied, &blocked);
-            let from = Coord::new(
-                (lcg(&mut seed) % rows as u64) as i32,
-                (lcg(&mut seed) % cols as u64) as i32,
-            );
-            let to = Coord::new(
-                (lcg(&mut seed) % rows as u64) as i32,
-                (lcg(&mut seed) % cols as u64) as i32,
-            );
+            let mut pick = || {
+                Coord::new(
+                    (lcg(&mut seed) % rows as u64) as i32,
+                    (lcg(&mut seed) % cols as u64) as i32,
+                )
+            };
+            let from = match case % 5 {
+                0 => Coord::new(0, 0),
+                1 => Coord::new(rows - 1, 0),
+                _ => pick(),
+            };
+            let to = if case % 7 == 0 { from } else { pick() };
+            match case % 11 {
+                // A blocked destination: only `to` itself is exempt.
+                0 => {
+                    let i = occ.slot(to);
+                    occ.blocked[i] = true;
+                }
+                // Wall `to` in so it is unreachable (unless adjacent).
+                1 => {
+                    for n in g.neighbours_in(to) {
+                        let i = occ.slot(n);
+                        occ.blocked[i] = true;
+                    }
+                }
+                _ => {}
+            }
             let cost = CostModel {
-                penalty_weight: lcg(&mut seed) % 9,
+                penalty_weight: if case % 4 == 0 {
+                    0
+                } else {
+                    lcg(&mut seed) % 12
+                },
             };
             let reference = find_path(&g, &occ, from, to, &cost);
+            reached += reference.is_some() as u32;
             let incremental = arena.find_path(&g, &occ, from, to, &cost);
             assert_eq!(reference, incremental, "case {case}: {from} -> {to}");
         }
+        assert!((5_000..19_000).contains(&reached), "{reached} reachable");
         assert!(arena.reuses() > 0, "same-shape searches reuse the arena");
     }
 

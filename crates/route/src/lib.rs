@@ -17,10 +17,15 @@
 //! the heuristics stay independent of the scheduler's internal state.
 //!
 //! The [`incremental`] module layers a production hot path on top: a
-//! reusable generation-stamped [`SearchArena`] with a bucket-queue
-//! Dijkstra, and the [`Router`] facade the compiler engine drives, pinned
-//! byte-identical to the seed functions by a differential test harness.
-//! Nothing is cached between queries; the per-query cost is the search.
+//! reusable generation-stamped [`SearchArena`] with a goal-directed
+//! bucket-queue search (distance plus a Manhattan lower bound, ring of
+//! `penalty_weight + 3` buckets, each level drained until empty), and the
+//! [`Router`] facade the compiler engine drives. Paths are rebuilt
+//! backwards from the destination, choosing at each cell the parent the
+//! seed's `(dist, row, col)` pop order would have recorded, so results
+//! stay byte-identical to the seed functions; a differential test harness
+//! pins this. Nothing is cached between queries; the per-query cost is
+//! the search.
 
 pub mod dijkstra;
 pub mod incremental;

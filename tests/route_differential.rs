@@ -124,9 +124,9 @@ impl Occupancy for SetOcc {
     }
 }
 
-/// A deterministic random occupancy state over `grid`: ~30% of cells hold
-/// data qubits, ~10% are blocked.
-fn random_state(grid: &Grid, seed: u64) -> SetOcc {
+/// A deterministic random occupancy state over `grid`: about
+/// `occupied_pct`% of cells hold data qubits and ~10% are blocked.
+fn random_state(grid: &Grid, seed: u64, occupied_pct: u64) -> SetOcc {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let mut next = move || {
         s ^= s << 13;
@@ -139,42 +139,60 @@ fn random_state(grid: &Grid, seed: u64) -> SetOcc {
         occupied: HashSet::new(),
     };
     for c in grid.coords() {
-        match next() % 10 {
-            0..=2 => {
-                occ.occupied.insert(c);
-            }
-            3 => {
-                occ.blocked.insert(c);
-            }
-            _ => {}
+        let roll = next() % 100;
+        if roll < occupied_pct {
+            occ.occupied.insert(c);
+        } else if roll < occupied_pct + 10 {
+            occ.blocked.insert(c);
         }
     }
     occ
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Reference, arena, and router agree path-for-path (cost, cells,
-    /// tie-breaks) on random grids and occupancy patterns.
+    /// tie-breaks) on random grids up to 24x24 with 0-80% of cells
+    /// occupied. `shape` adds the goal-directed search's edge cases:
+    /// penalty 0 (zero-width f levels), a blocked destination (the seed
+    /// lets only `to` be entered while blocked), a walled-in unreachable
+    /// destination, `from == to`, and a corner source like a magic
+    /// delivery from the factory port.
     #[test]
     fn incremental_queries_match_reference(
-        rows in 3u32..10,
-        cols in 3u32..10,
+        rows in 3u32..25,
+        cols in 3u32..25,
         seed in 0u64..10_000,
+        occupied_pct in 0u64..81,
         penalty in 0u64..12,
-        fr in 0i32..10,
-        fc in 0i32..10,
-        tr in 0i32..10,
-        tc in 0i32..10,
+        shape in 0u32..6,
+        fr in 0i32..25,
+        fc in 0i32..25,
+        tr in 0i32..25,
+        tc in 0i32..25,
     ) {
         let grid = Grid::filled(rows, cols, CellKind::Bus);
-        let occ = random_state(&grid, seed);
+        let mut occ = random_state(&grid, seed, occupied_pct);
+        let mut from = Coord::new(fr % rows as i32, fc % cols as i32);
+        let mut to = Coord::new(tr % rows as i32, tc % cols as i32);
+        let mut penalty = penalty;
+        match shape {
+            1 => penalty = 0,
+            2 => {
+                occ.blocked.insert(to);
+            }
+            3 => occ.blocked.extend(grid.neighbours_in(to)),
+            4 => to = from,
+            5 => from = Coord::new(0, 0),
+            _ => {}
+        }
         let cost = CostModel { penalty_weight: penalty };
-        let from = Coord::new(fr % rows as i32, fc % cols as i32);
-        let to = Coord::new(tr % rows as i32, tc % cols as i32);
 
         let expected = reference::find_path(&grid, &occ, from, to, &cost);
+        if shape == 3 && from.manhattan(to) > 1 {
+            prop_assert!(expected.is_none(), "walled-in {} reached from {}", to, from);
+        }
 
         let mut arena = SearchArena::new();
         prop_assert_eq!(&arena.find_path(&grid, &occ, from, to, &cost), &expected);
@@ -185,6 +203,10 @@ proptest! {
         prop_assert_eq!(&router.find_path(&grid, &occ, from, to), &expected);
         prop_assert_eq!(&router.find_path(&grid, &occ, from, to), &expected);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The full map stage emits byte-identical routed programs under the
     /// reference and incremental routers, across random circuits and all
@@ -267,7 +289,7 @@ fn nearest_free_cell_pins_identical_choices() {
     let mut arena = SearchArena::new();
     for seed in 0..300u64 {
         let grid = Grid::filled(7, 7, CellKind::Bus);
-        let occ = random_state(&grid, seed);
+        let occ = random_state(&grid, seed, 30);
         for c in grid.coords() {
             assert_eq!(
                 ftqc::route::nearest_free_cell(&grid, &occ, c),
