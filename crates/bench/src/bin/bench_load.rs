@@ -22,7 +22,6 @@
 //!     --addr 127.0.0.1:7878 --connections 32 --duration 10 --rate 2000
 //! ```
 
-use ftqc_bench::report::LatencyPercentiles;
 use ftqc_server::{Server, ServerConfig, Transport};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -100,6 +99,38 @@ fn request(addr: &str, head: &[u8]) -> Result<(u64, u16), ()> {
         .and_then(|d| d.parse().ok())
         .ok_or(())?;
     Ok((started.elapsed().as_micros() as u64, status))
+}
+
+/// Exact nearest-rank percentiles over the raw latency samples. The
+/// generator keeps every sample, so unlike the server's log₂ histograms
+/// there is no bucketing error.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LatencyPercentiles {
+    /// 50th percentile (the lower middle for even counts).
+    p50: u64,
+    /// 95th percentile.
+    p95: u64,
+    /// 99th percentile.
+    p99: u64,
+}
+
+impl LatencyPercentiles {
+    /// Computes the percentiles from raw samples (all zero when empty).
+    fn from_samples(mut samples: Vec<u64>) -> Self {
+        if samples.is_empty() {
+            return Self::default();
+        }
+        samples.sort_unstable();
+        let at = |q: f64| {
+            let rank = (q * samples.len() as f64).ceil() as usize;
+            samples[rank.saturating_sub(1).min(samples.len() - 1)]
+        };
+        LatencyPercentiles {
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+        }
+    }
 }
 
 /// Per-worker tallies, merged after the run.
@@ -265,5 +296,25 @@ fn main() {
     if total.ok_2xx == 0 {
         eprintln!("bench_load: no successful responses");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_are_exact_nearest_rank() {
+        assert_eq!(
+            LatencyPercentiles::from_samples(vec![]),
+            LatencyPercentiles::default()
+        );
+        let one = LatencyPercentiles::from_samples(vec![7]);
+        assert_eq!((one.p50, one.p95, one.p99), (7, 7, 7));
+        // 1..=100: nearest-rank percentiles are the literal ranks.
+        let p = LatencyPercentiles::from_samples((1..=100).rev().collect());
+        assert_eq!((p.p50, p.p95, p.p99), (50, 95, 99));
+        // Even counts take the lower middle.
+        assert_eq!(LatencyPercentiles::from_samples(vec![4, 1, 9, 5]).p50, 4);
     }
 }

@@ -1,7 +1,7 @@
 //! Shared helpers for the figure-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
-//! in `src/bin/` (see DESIGN.md §4 for the experiment index):
+//! in `src/bin/`:
 //!
 //! ```text
 //! cargo run --release -p ftqc-bench --bin table1
@@ -16,10 +16,15 @@
 //! cargo run --release -p ftqc-bench --bin ablation
 //! ```
 //!
-//! Criterion micro-benchmarks (`cargo bench`) cover the router and the
-//! end-to-end pipeline.
-
-pub mod report;
+//! `bench_load` is an open-loop HTTP load generator for a running
+//! `ftqc serve`. Performance is measured by the repository benchmark,
+//! `perfbench` (cold Table I compiles, mixed serving traffic and fleet
+//! batches, end to end and per layer):
+//!
+//! ```text
+//! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+//!     --workload table1-cold --seed 1 --seconds 40 --trace 1
+//! ```
 
 use ftqc_circuit::Circuit;
 use ftqc_compiler::{CompileError, Compiler, CompilerOptions, Metrics};

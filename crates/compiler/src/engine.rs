@@ -838,9 +838,8 @@ pub struct RoutedProgram {
 ///
 /// [`RouterMode::Incremental`] is what the pipeline uses;
 /// [`RouterMode::Reference`] re-routes through the seed (allocation-heavy)
-/// implementations and is the baseline of `tests/route_differential.rs`
-/// and the `bench_session` speedup measurement. Both modes produce
-/// byte-identical routed programs.
+/// implementations and is the baseline of `tests/route_differential.rs`.
+/// Both modes produce byte-identical routed programs.
 ///
 /// # Errors
 ///

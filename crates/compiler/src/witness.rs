@@ -96,6 +96,15 @@ pub enum WitnessError {
         /// Qubits in the lowered circuit.
         num_qubits: u32,
     },
+    /// An op carries a grant from a factory the target does not have.
+    FactoryOutOfRange {
+        /// Index in the op sequence.
+        index: usize,
+        /// The offending factory index.
+        factory: usize,
+        /// Factories on the target (at least one).
+        factories: usize,
+    },
     /// The re-timed schedule violates a physical invariant.
     Invariant(VerifyError),
     /// The metrics derived from the witness disagree with the claimed
@@ -134,6 +143,14 @@ impl std::fmt::Display for WitnessError {
             } => write!(
                 f,
                 "op {index} names patch {patch} of a {num_qubits}-qubit circuit"
+            ),
+            WitnessError::FactoryOutOfRange {
+                index,
+                factory,
+                factories,
+            } => write!(
+                f,
+                "op {index} names factory {factory} of a {factories}-factory target"
             ),
             WitnessError::Invariant(e) => write!(f, "invariant violated: {e}"),
             WitnessError::MetricsMismatch { field } => {
@@ -280,11 +297,13 @@ pub fn verify_witness(
         .map_err(|e| WitnessError::Target(e.to_string()))?;
     let bank = options.target.factory_bank(&layout);
 
-    // 3. The trust boundary: the replay indexes per-cell and per-qubit
-    // state directly, so every cell must lie on the grid and every patch
-    // index name a circuit qubit before anything is re-timed.
+    // 3. The trust boundary: the replay indexes per-cell, per-qubit and
+    // per-factory state directly, so every cell must lie on the grid, every
+    // patch index name a circuit qubit and every grant a target factory
+    // before anything is re-timed.
     let grid = layout.grid();
-    check_ranges(&witness.ops, num_qubits, |c| grid.in_bounds(c))?;
+    let factories = (options.target.factories as usize).max(1);
+    check_ranges(&witness.ops, num_qubits, factories, |c| grid.in_bounds(c))?;
 
     // 4 + 5. Deterministic re-timing and the physical invariants. The
     // same greedy replay the schedule stage runs, so a faithful worker's
@@ -347,11 +366,12 @@ pub fn verify_witness(
     Ok(derived)
 }
 
-/// Rejects the first op that touches a cell off the grid or names a patch
-/// `≥ num_qubits`.
+/// Rejects the first op that touches a cell off the grid, names a patch
+/// `≥ num_qubits` or carries a grant from a factory `≥ factories`.
 fn check_ranges(
     ops: &[RoutedOp],
     num_qubits: u32,
+    factories: usize,
     in_bounds: impl Fn(Coord) -> bool,
 ) -> Result<(), WitnessError> {
     for (index, routed) in ops.iter().enumerate() {
@@ -372,6 +392,13 @@ fn check_ranges(
                 index,
                 patch,
                 num_qubits,
+            });
+        }
+        if let Some(factory) = routed.factory.filter(|&f| f >= factories) {
+            return Err(WitnessError::FactoryOutOfRange {
+                index,
+                factory,
+                factories,
             });
         }
     }
@@ -773,6 +800,34 @@ mod tests {
                 num_qubits: 4
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_factory_rejected_before_retiming() {
+        let (circuit, options) = testbed();
+        assert_eq!(options.target.factories, 1);
+        let (mut witness, claimed) = compile_witnessed(&circuit, &options);
+        let i = witness
+            .ops
+            .iter()
+            .position(|o| o.factory.is_some())
+            .expect("the T gate's delivery carries a grant");
+        witness.ops[i].factory = Some(1_000_000);
+        let err = verify_witness(&circuit, &options, &witness, &claimed, None).unwrap_err();
+        assert_eq!(
+            err,
+            WitnessError::FactoryOutOfRange {
+                index: i,
+                factory: 1_000_000,
+                factories: 1
+            }
+        );
+        // The first index past the bank is out of range too.
+        witness.ops[i].factory = Some(1);
+        assert!(matches!(
+            verify_witness(&circuit, &options, &witness, &claimed, None),
+            Err(WitnessError::FactoryOutOfRange { factory: 1, .. })
+        ));
     }
 
     #[test]

@@ -306,6 +306,7 @@ impl CoordinatorExtension {
                                 record("accept", verified);
                                 // `verify` matched the result's fingerprint
                                 // against the coordinator's own.
+                                cache.record_miss();
                                 if let Some(metrics) = result.metrics {
                                     cache.insert(result.fingerprint, metrics);
                                 }
@@ -376,9 +377,12 @@ impl ServerExtension for CoordinatorExtension {
                 (circuit, fp)
             });
             // The same whole-job lookup a plain server makes first, so a
-            // repeat costs no round trip and no re-verification.
+            // repeat costs no round trip and no re-verification. Each job
+            // counts one lookup: a hit here, a miss when a worker's answer
+            // is accepted, or the batch service's own lookup when the job
+            // falls back to a local compile.
             if let Some((_, fp)) = &resolved {
-                if let Some(hit) = cache.get(*fp) {
+                if let Some(hit) = cache.get_if_present(*fp) {
                     merged.push((
                         index,
                         JobResult {

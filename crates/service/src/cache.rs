@@ -307,6 +307,24 @@ impl<V: Clone> SharedCache<V> {
         self.inner.lock().expect("cache lock").get(fingerprint)
     }
 
+    /// Like [`SharedCache::get`], but a miss leaves the counters alone:
+    /// for a caller that hands a missed key on to code that makes (and
+    /// counts) its own lookup, or counts it with
+    /// [`SharedCache::record_miss`].
+    pub fn get_if_present(&self, fingerprint: u64) -> Option<CacheHit<V>> {
+        let mut cache = self.inner.lock().expect("cache lock");
+        if cache.contains(fingerprint) {
+            cache.get(fingerprint)
+        } else {
+            None
+        }
+    }
+
+    /// Counts a miss for a lookup made with [`SharedCache::get_if_present`].
+    pub fn record_miss(&self) {
+        self.inner.lock().expect("cache lock").stats.misses += 1;
+    }
+
     /// See [`CompileCache::insert`].
     pub fn insert(&self, fingerprint: u64, value: V) {
         self.inner

@@ -259,6 +259,13 @@ fn coordinator_answers_repeats_from_its_verified_cache() {
         (ok, ok),
         "first pass goes over the wire"
     );
+    let misses = |client: &Client| {
+        counter(
+            &client.metrics_text().expect("metrics"),
+            "ftqc_cache_misses_total",
+        )
+    };
+    assert_eq!(misses(&fleet), ok, "each accepted dispatch is one miss");
     let hits_before = counter(
         &fleet.metrics_text().expect("metrics"),
         "ftqc_cache_hits_total",
@@ -277,6 +284,7 @@ fn coordinator_answers_repeats_from_its_verified_cache() {
         "ftqc_cache_hits_total",
     );
     assert_eq!(hits_after - hits_before, ok);
+    assert_eq!(misses(&fleet), ok, "a cache-served repeat adds no miss");
     assert!(second
         .iter()
         .filter(|r| r.is_ok())
@@ -477,6 +485,16 @@ fn quarantined_job_is_served_from_cache_on_repeat() {
     assert_eq!(get(&m.local_recompute), 1);
     assert_eq!(get(&m.dispatch), 1);
     assert_eq!(first[0].provenance, CacheProvenance::Computed);
+    // One lookup per job sent: the coordinator's cache check and the local
+    // recompute's own lookup count a single miss between them.
+    assert_eq!(
+        counter(
+            &client.metrics_text().expect("metrics"),
+            "ftqc_cache_misses_total"
+        ),
+        1,
+        "one job sent, one miss"
+    );
 
     let second = client.batch(&jsonl).expect("second pass");
     assert_eq!(get(&m.dispatch), 1, "the repeat is not dispatched");

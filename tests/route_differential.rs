@@ -281,6 +281,35 @@ proptest! {
     }
 }
 
+/// The proptest above stays small (at most 9 qubits, 60 gates); this pins
+/// the two routers on the 255-qubit GHZ chain at the default options,
+/// where long corridors and many relocations stress the tie-breaks.
+#[test]
+fn ghz_255_routes_identically_at_default_options() {
+    let options = CompilerOptions::default();
+    let circuit = ftqc::service::resolve::load_circuit_spec("ghz").expect("ghz resolves");
+    assert_eq!(circuit.num_qubits(), 255);
+    let lowered = CompileSession::new(options.clone())
+        .prepare(&circuit)
+        .expect("prepare")
+        .lower()
+        .circuit()
+        .clone();
+    let reference = route_circuit(&lowered, &options, RouterMode::Reference).expect("reference");
+    let incremental =
+        route_circuit(&lowered, &options, RouterMode::Incremental).expect("incremental");
+    assert_eq!(
+        incremental.ops.len(),
+        reference.ops.len(),
+        "op counts diverge"
+    );
+    for (i, (a, b)) in incremental.ops.iter().zip(&reference.ops).enumerate() {
+        assert_eq!(a, b, "op {i} diverges");
+    }
+    assert_eq!(incremental.n_magic_states, reference.n_magic_states);
+    assert_eq!(incremental.factory_patches, reference.factory_patches);
+}
+
 /// The arena-frontier space search (satellite: `nearest_free_cell` no
 /// longer re-allocates scan state per call) picks identical cells to the
 /// seed implementation on dense random states.
